@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partial MaxSAT solver: sequential, simulated-distributed, or socket-distributed.",
     )
     p.add_argument("instance", help="DIMACS WCNF instance path")
-    p.add_argument("--algo", choices=("linear", "msu3", "sss", "gp"), default="linear")
+    p.add_argument("--algo", choices=("linear", "msu3", "sss", "gp"), default="linear",
+                   help="algorithm; a worker takes its role from the master instead")
     p.add_argument("--mode", choices=("standalone", "master", "worker", "sim"), default="standalone")
     p.add_argument("--workers", type=int, default=4, help="worker count (sim and master modes)")
     p.add_argument("--listen", metavar="HOST:PORT", help="master mode listen address")
@@ -171,13 +172,15 @@ def _run_worker(args, f) -> int:
     host, port = _parse_addr(args.connect)
     chan = connect(host, port)
     worker = WorkerNode("w0", f, send=chan.send, seed=args.seed)
-    worker.hello()
     try:
+        worker.hello()
         while not worker.done:
             msg = chan.recv(timeout=None)
             if msg is None:
                 break
             worker.on_message(msg)
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the master has closed the connection: the run is over
     finally:
         chan.close()
     return 0
@@ -190,7 +193,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: --algo {args.algo} needs --mode sim, master or worker", file=sys.stderr)
         return EXIT_USAGE
-    if args.algo in ("linear", "msu3") and args.mode != "standalone":
+    # A worker takes its role from the master's hello, so --algo does not
+    # apply to it.
+    if args.algo in ("linear", "msu3") and args.mode in ("sim", "master"):
         parser.print_usage(sys.stderr)
         print(f"error: --algo {args.algo} runs in --mode standalone only", file=sys.stderr)
         return EXIT_USAGE

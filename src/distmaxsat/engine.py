@@ -13,6 +13,30 @@ analysis machinery instead of reimplementing it.
 Watch lists are kept strict: a clause with at least two unfalsified literals
 always watches two unfalsified literals, so `watched_clauses` reflects the
 true shortened state of every clause.
+
+Same-search contract.  Every engine given the same clauses, calls and seed
+makes the same trail, learned clauses, decisions, models and cores.  The
+lookahead's watched-only score and the benchmark's determinism fingerprints
+rest on the order-sensitive rules below; a change keeps them, or changes
+them knowingly and is measured as a change of search:
+
+- strict watches: a visited watcher moves to the first unfalsified literal
+  at position 2 or later even when its other watch already satisfies the
+  clause; it is appended to that literal's list and its old slot is filled
+  by the last watcher of the list being scanned;
+- propagation takes the trail in order and each watch list front to back;
+- learning is first-UIP, bumping variables in the order the analysis meets
+  them, and moves the first literal of the second-highest level to
+  position 1;
+- branching takes the unassigned variable of highest activity, then of
+  highest `tie_rank`, then of lowest index, in its saved phase; `tie_rank`
+  is the engine's only use of its random generator;
+- `add_clause` stores the unfalsified literals first, in input order.
+
+The hot loops (`_propagate`, `_cancel_until`, `_pick_branch`, `_analyze`,
+the decision loops of `solve` and `propagate_under`, and `add_clause`) bind
+lists to locals and read and assign literal values inline on purpose: in
+CPython a method call per literal costs more than the work it wraps.
 """
 
 from __future__ import annotations
@@ -90,7 +114,9 @@ class Engine:
 
     def __init__(self, clauses=(), num_vars: int = 0, seed: int = 0):
         self.num_vars = 0
-        self.assigns: list[int] = [0]  # var -> +1 true, -1 false, 0 unassigned
+        # Indexed by literal: +1 true, -1 false, 0 unassigned.  The layout
+        # [0, x1..xn, -xn..-x1] puts literal -v at Python's assigns[-v].
+        self.assigns: list[int] = [0]
         self.levels: list[int] = [0]
         self.reasons: list[Clause | None] = [None]
         self.phase: list[bool] = [False]
@@ -117,22 +143,25 @@ class Engine:
     # ------------------------------------------------------------------ vars
 
     def add_vars(self, n: int) -> None:
-        for _ in range(n):
-            self.num_vars += 1
-            v = self.num_vars
-            self.assigns.append(0)
-            self.levels.append(0)
-            self.reasons.append(None)
-            self.phase.append(False)
-            self.activity.append(0.0)
-            self.tie_rank.append(self._rng.random())
+        if n <= 0:
+            return
+        first = self.num_vars + 1
+        self.num_vars += n
+        self.assigns[first:first] = [0] * (2 * n)
+        self.levels += [0] * n
+        self.reasons += [None] * n
+        self.phase += [False] * n
+        self.activity += [0.0] * n
+        self.tie_rank += [self._rng.random() for _ in range(n)]
+        for v in range(first, self.num_vars + 1):
             self.watches[v] = []
             self.watches[-v] = []
 
     def value(self, lit: int) -> int:
         """+1 if lit true, -1 if false, 0 if unassigned."""
-        val = self.assigns[abs(lit)]
-        return val if lit > 0 else -val
+        if abs(lit) > self.num_vars:
+            raise IndexError(f"literal {lit} out of range")
+        return self.assigns[lit]
 
     @property
     def decision_level(self) -> int:
@@ -142,34 +171,43 @@ class Engine:
 
     def add_clause(self, lits) -> None:
         """Add a problem clause; only legal at decision level 0."""
-        if self.decision_level != 0:
+        if self.trail_lim:
             raise ValueError("add_clause requires decision level 0")
-        lits = list(dict.fromkeys(lits))
-        lit_set = set(lits)
+        n = self.num_vars
+        assigns = self.assigns
+        seen = set()
+        unfalsified = []
+        falsified = []
         for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
+            if lit in seen:
+                continue
+            if not 0 < abs(lit) <= n:
                 raise ValueError(f"literal {lit} out of range")
-            if -lit in lit_set:
-                raise ValueError(f"tautological clause {lits}")
+            if -lit in seen:
+                raise ValueError(f"tautological clause: contains {-lit} and {lit}")
+            seen.add(lit)
+            if assigns[lit] < 0:
+                falsified.append(lit)
+            else:
+                unfalsified.append(lit)
         if self.root_unsat:
             return
-        unfalsified = [l for l in lits if self.value(l) >= 0]
-        falsified = [l for l in lits if self.value(l) < 0]
         if len(unfalsified) >= 2:
             clause = Clause(unfalsified + falsified)
             self.clauses.append(clause)
-            self._attach(clause)
-        elif len(unfalsified) == 1:
+            self.watches[unfalsified[0]].append(clause)
+            self.watches[unfalsified[1]].append(clause)
+        elif unfalsified:
             # Permanently satisfied or unit at level 0; no watches needed since
             # level-0 falsifications are never undone.
             lit = unfalsified[0]
             self.clauses.append(Clause([lit] + falsified))
-            if self.value(lit) == 0:
+            if assigns[lit] == 0:
                 self._enqueue(lit, None)
                 if self._propagate() is not None:
                     self._mark_root_unsat()
         else:
-            self.clauses.append(Clause(lits))
+            self.clauses.append(Clause(falsified))
             self._mark_root_unsat()
 
     def _mark_root_unsat(self) -> None:
@@ -185,67 +223,84 @@ class Engine:
         self.watches[clause.lits[1]].remove(clause)
 
     def watched_clauses(self, lit: int) -> list[Clause]:
-        """Clauses currently watching `lit`."""
+        """Clauses currently watching `lit` (a copy of the watch list)."""
         return list(self.watches.get(lit, ()))
 
     # ----------------------------------------------------------- propagation
 
     def _enqueue(self, lit: int, reason: Clause | None) -> None:
         v = abs(lit)
-        self.assigns[v] = 1 if lit > 0 else -1
-        self.levels[v] = self.decision_level
+        self.assigns[lit] = 1
+        self.assigns[-lit] = -1
+        self.levels[v] = len(self.trail_lim)
         self.reasons[v] = reason
         self.trail.append(lit)
 
     def _propagate(self) -> Clause | None:
         """Propagate pending trail literals; return a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            watchers = self.watches[-p]
+        trail = self.trail
+        assigns = self.assigns
+        watches = self.watches
+        levels = self.levels
+        reasons = self.reasons
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
             i = 0
-            while i < len(watchers):
+            end = len(watchers)
+            while i < end:
                 clause = watchers[i]
                 lits = clause.lits
-                if lits[0] == -p:
+                if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
-                other = lits[0]
                 # Eager migration keeps the strict two-watch invariant even
-                # when `other` already satisfies the clause.
-                moved = False
+                # when lits[0] already satisfies the clause.
                 for k in range(2, len(lits)):
-                    if self.value(lits[k]) >= 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[lits[1]].append(clause)
-                        watchers[i] = watchers[-1]
+                    q = lits[k]
+                    if assigns[q] >= 0:
+                        lits[1], lits[k] = q, lits[1]
+                        watches[q].append(clause)
+                        end -= 1
+                        watchers[i] = watchers[end]
                         watchers.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                other_val = self.value(other)
-                if other_val > 0:
+                else:
+                    other = lits[0]
+                    val = assigns[other]
+                    if val == 0:
+                        assigns[other] = 1
+                        assigns[-other] = -1
+                        v = abs(other)
+                        levels[v] = level
+                        reasons[v] = clause
+                        trail.append(other)
+                    elif val < 0:
+                        self.qhead = qhead
+                        return clause
                     i += 1
-                    continue
-                if other_val == 0:
-                    self._enqueue(other, clause)
-                    i += 1
-                    continue
-                return clause
+        self.qhead = qhead
         return None
 
     def _cancel_until(self, level: int) -> None:
-        if self.decision_level <= level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self.trail_lim[level]
-        for lit in reversed(self.trail[boundary:]):
+        boundary = trail_lim[level]
+        trail = self.trail
+        assigns = self.assigns
+        phase = self.phase
+        reasons = self.reasons
+        for lit in trail[boundary:]:
+            assigns[lit] = assigns[-lit] = 0
             v = abs(lit)
-            self.phase[v] = lit > 0
-            self.assigns[v] = 0
-            self.reasons[v] = None
-        del self.trail[boundary:]
-        del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+            phase[v] = lit > 0
+            reasons[v] = None
+        del trail[boundary:]
+        del trail_lim[level:]
+        self.qhead = boundary
         self._live_conflict = None
 
     def _new_level(self) -> None:
@@ -253,37 +308,40 @@ class Engine:
 
     # -------------------------------------------------------------- analysis
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.num_vars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-
     def _analyze(self, confl: Clause) -> tuple[list[int], int]:
         """First-UIP learning; returns (learned clause, backtrack level)."""
+        levels = self.levels
+        activity = self.activity
+        trail = self.trail
+        var_inc = self.var_inc
+        level = len(self.trail_lim)
         learnt: list[int] = [0]  # slot 0 for the asserting literal
         seen: set[int] = set()
         path_count = 0
-        p: int | None = None
-        index = len(self.trail) - 1
-        clause: Clause | None = confl
-        level = self.decision_level
+        p = 0  # no literal is 0, so nothing is skipped in the conflict clause
+        index = len(trail) - 1
+        clause = confl
         while True:
             for q in clause.lits:
                 if q == p:
                     continue
                 v = abs(q)
-                if v not in seen and self.levels[v] > 0:
+                if v not in seen and levels[v] > 0:
                     seen.add(v)
-                    self._bump(v)
-                    if self.levels[v] >= level:
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > 1e100:
+                        for u in range(1, self.num_vars + 1):
+                            activity[u] *= 1e-100
+                        var_inc *= 1e-100
+                    if levels[v] >= level:
                         path_count += 1
                     else:
                         learnt.append(q)
-            while abs(self.trail[index]) not in seen:
+            p = trail[index]
+            while abs(p) not in seen:
                 index -= 1
-            p = self.trail[index]
+                p = trail[index]
             v = abs(p)
             clause = self.reasons[v]
             seen.discard(v)
@@ -292,13 +350,19 @@ class Engine:
             if path_count == 0:
                 break
         learnt[0] = -p
-        self.var_inc /= VAR_ACT_DECAY
+        self.var_inc = var_inc / VAR_ACT_DECAY
         if len(learnt) == 1:
             return learnt, 0
-        # Second-highest level literal moves to the other watch position.
-        k = max(range(1, len(learnt)), key=lambda j: self.levels[abs(learnt[j])])
+        # The first literal of the second-highest level moves to the other
+        # watch position.
+        k = 1
+        backtrack = levels[abs(learnt[1])]
+        for j in range(2, len(learnt)):
+            lv = levels[abs(learnt[j])]
+            if lv > backtrack:
+                k, backtrack = j, lv
         learnt[1], learnt[k] = learnt[k], learnt[1]
-        return learnt, self.levels[abs(learnt[1])]
+        return learnt, backtrack
 
     def _record_learned(self, learnt: list[int], backtrack: int) -> None:
         self.learned.append(tuple(learnt))
@@ -329,14 +393,18 @@ class Engine:
     # ------------------------------------------------------------------ solve
 
     def _pick_branch(self) -> int:
+        """Unassigned variable of highest activity, then highest `tie_rank`,
+        in its saved phase; 0 when every variable is assigned."""
+        assigns = self.assigns
+        activity = self.activity
+        tie_rank = self.tie_rank
         best = 0
-        best_key = (-1.0, -1.0)
+        best_act = best_tie = -1.0
         for v in range(1, self.num_vars + 1):
-            if self.assigns[v] == 0:
-                key = (self.activity[v], self.tie_rank[v])
-                if key > best_key:
-                    best_key = key
-                    best = v
+            if assigns[v] == 0:
+                act = activity[v]
+                if act > best_act or (act == best_act and tie_rank[v] > best_tie):
+                    best, best_act, best_tie = v, act, tie_rank[v]
         if best == 0:
             return 0
         return best if self.phase[best] else -best
@@ -344,7 +412,7 @@ class Engine:
     def _analyze_final(self, p: int) -> frozenset[int]:
         """Assumptions responsible for forcing assumption `p` false."""
         core = {p}
-        if self.decision_level == 0:
+        if not self.trail_lim:
             return frozenset(core)
         seen = {abs(p)}
         for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
@@ -371,13 +439,15 @@ class Engine:
         if self._propagate() is not None:
             self._mark_root_unsat()
             return Unsat(frozenset())
+        trail_lim = self.trail_lim
+        assigns = self.assigns
         conflicts_until_restart = LUBY_UNIT * luby(self.restarts + 1)
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.conflicts += 1
                 conflicts_until_restart -= 1
-                if self.decision_level == 0:
+                if not trail_lim:
                     self._mark_root_unsat()
                     return Unsat(frozenset())
                 learnt, backtrack = self._analyze(confl)
@@ -390,24 +460,23 @@ class Engine:
                 if deadline is not None and clock is not None and clock() > deadline:
                     raise TimeoutError("solve deadline exceeded")
                 continue
-            if self.decision_level < len(assumptions):
-                p = assumptions[self.decision_level]
+            level = len(trail_lim)
+            if level < len(assumptions):
+                p = assumptions[level]
                 if abs(p) > self.num_vars or p == 0:
                     raise ValueError(f"assumption {p} out of range")
-                val = self.value(p)
-                if val > 0:
-                    self._new_level()  # keep level == assumption index
-                    continue
+                val = assigns[p]
                 if val < 0:
                     core = self._analyze_final(p)
                     self._cancel_until(0)
                     return Unsat(core)
-                self._new_level()
-                self._enqueue(p, None)
+                self._new_level()  # keep level == assumption index
+                if val == 0:
+                    self._enqueue(p, None)
                 continue
             lit = self._pick_branch()
             if lit == 0:
-                model = {v: self.assigns[v] > 0 for v in range(1, self.num_vars + 1)}
+                model = {v: assigns[v] > 0 for v in range(1, self.num_vars + 1)}
                 self._cancel_until(0)
                 return Sat(model)
             self._new_level()
@@ -431,14 +500,19 @@ class Engine:
         if self._propagate() is not None:
             self._mark_root_unsat()
             return self._live(Conflict(clause=None, level=0, trail=tuple(self.trail)))
+        trail = self.trail
+        trail_lim = self.trail_lim
+        assigns = self.assigns
         for d in decisions:
-            val = self.value(d)
+            if not 0 < abs(d) <= self.num_vars:
+                raise ValueError(f"decision {d} out of range")
+            val = assigns[d]
             if val > 0:
                 continue
             if val < 0:
                 # Complement already implied; no falsified clause to analyze.
                 self._cancel_until(0)
-                return Conflict(clause=None, level=self.decision_level, trail=())
+                return Conflict(clause=None, level=0, trail=())
             self._new_level()
             self._enqueue(d, None)
             confl = self._propagate()
@@ -446,12 +520,12 @@ class Engine:
                 return self._live(
                     Conflict(
                         clause=tuple(confl.lits),
-                        level=self.decision_level,
-                        trail=tuple(self.trail),
+                        level=len(trail_lim),
+                        trail=tuple(trail),
                         _obj=confl,
                     )
                 )
-        implied = frozenset(self.trail) - dec_set
+        implied = frozenset(trail) - dec_set
         self._cancel_until(0)
         return Implied(implied)
 

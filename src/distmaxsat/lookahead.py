@@ -61,12 +61,12 @@ def clause_reduction_score(
     A clause counts when it contains ¬lit and is not yet satisfied; its weight
     is 5^(l_max - k) where k is its length after the shortening, lengths
     counting only unassigned literals.  In watched-only mode just the clauses
-    currently watching ¬lit are scanned.
+    currently watching ¬lit are scanned, read from the watch list in place.
     """
     if abs(lit) in assigned:
         raise ValueError(f"literal {lit} already assigned")
     if watched_only:
-        candidates = engine.watched_clauses(-lit)
+        candidates = engine.watches.get(-lit, ())
     else:
         candidates = engine.clauses + engine.learned_clauses
     total = 0.0

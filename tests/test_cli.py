@@ -147,7 +147,7 @@ def test_malformed_instance(instance, capsys):
     assert "bad instance" in err
 
 
-def socket_run(f_text, algo, workers, port):
+def socket_run(f_text, algo, workers, port, worker_args):
     """Run master + workers in threads over localhost; returns master exit code."""
     import io
     from contextlib import redirect_stdout
@@ -165,8 +165,7 @@ def socket_run(f_text, algo, workers, port):
         results["out"] = buf.getvalue()
 
     def worker():
-        main([results["path"], "--mode", "worker", "--algo", algo if algo != "sss" else "sss",
-              "--connect", f"127.0.0.1:{port}"])
+        main([results["path"], "--mode", "worker", *worker_args, "--connect", f"127.0.0.1:{port}"])
 
     return results, master, worker
 
@@ -178,26 +177,73 @@ def test_socket_master_worker_roundtrip(tmp_path):
     path.write_text(serialize_wcnf(f))
 
     import socket as socketlib
-
-    probe = socketlib.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-
-    results, master_fn, worker_fn = socket_run(str(path), "sss", 2, port)
-    results["path"] = str(path)
-    threads = [threading.Thread(target=master_fn)]
-    threads += [threading.Thread(target=worker_fn) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert not any(t.is_alive() for t in threads)
     from distmaxsat.oracle import HARD_UNSAT
 
-    if expected == HARD_UNSAT:
-        assert results["code"] == 20
-    else:
-        assert results["code"] == 30
-        final_o = [int(l.split()[1]) for l in results["out"].splitlines() if l.startswith("o ")][-1]
-        assert final_o == expected
+    # The second worker argv is the README's worker line, which names no --algo.
+    for worker_args in (["--algo", "sss"], []):
+        probe = socketlib.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+
+        results, master_fn, worker_fn = socket_run(str(path), "sss", 2, port, worker_args)
+        results["path"] = str(path)
+        threads = [threading.Thread(target=master_fn, daemon=True)]
+        threads += [threading.Thread(target=worker_fn, daemon=True) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+
+        if expected == HARD_UNSAT:
+            assert results["code"] == 20
+        else:
+            assert results["code"] == 30
+            final_o = [int(l.split()[1]) for l in results["out"].splitlines() if l.startswith("o ")][-1]
+            assert final_o == expected
+
+
+def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):
+    """A master that closes while a worker is reporting ends the worker's run."""
+    import socket as socketlib
+
+    from distmaxsat.transport import Message, decode_message, encode_message
+
+    f = gen_random(7, num_vars=10, num_hard=8, num_soft=12, clause_len=3)
+    path = tmp_path / "gone.wcnf"
+    path.write_text(serialize_wcnf(f))
+    server = socketlib.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+    result = {}
+
+    def worker():
+        try:
+            result["code"] = main([str(path), "--mode", "worker", "--algo", "sss",
+                                   "--connect", f"127.0.0.1:{port}"])
+        except Exception as exc:  # recorded for the assertion below
+            result["error"] = exc
+
+    thread = threading.Thread(target=worker, daemon=True)
+    thread.start()
+    server.settimeout(30)
+    try:
+        conn, _ = server.accept()
+    finally:
+        server.close()
+    with conn:
+        conn.settimeout(30)
+        hello = b""
+        while not hello.endswith(b"\n"):
+            chunk = conn.recv(1)
+            assert chunk, "worker closed before its hello"
+            hello += chunk
+        assert decode_message(hello).kind == "hello"
+        conn.sendall(encode_message(Message("hello", "master", {"role": "sss_msu3"})))
+        # Wait until a report is in, then close with it unread: the worker
+        # gets a reset while it reports or waits for the next message.
+        assert conn.recv(1, socketlib.MSG_PEEK)
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert "error" not in result, repr(result.get("error"))
+    assert result["code"] == 0

@@ -296,3 +296,41 @@ def test_deterministic_given_seed():
     if isinstance(ra, Sat):
         assert ra.model == rb.model
     assert a.learned == b.learned
+
+
+def test_cancel_until_saves_last_phase():
+    e = Engine([(-1, 2)], num_vars=3)
+    e._new_level()
+    e._enqueue(1, None)
+    assert e._propagate() is None
+    e._new_level()
+    e._enqueue(-3, None)
+    e._cancel_until(0)
+    assert e.phase[1:] == [True, True, False]
+    assert all(e.value(v) == 0 for v in (1, 2, 3))
+    e._new_level()
+    e._enqueue(-1, None)
+    e._enqueue(3, None)
+    e._cancel_until(0)
+    assert e.phase[1:] == [False, True, True]
+
+
+def test_pick_branch_breaks_activity_ties_by_tie_rank():
+    e = Engine(num_vars=4)
+    e.tie_rank[1:] = [0.1, 0.9, 0.5, 0.3]
+    e.activity[1:] = [1.0, 1.0, 1.0, 1.0]
+    e.phase[2] = True
+    assert e._pick_branch() == 2
+    e.activity[3] = 1.5
+    assert e._pick_branch() == -3
+    e._new_level()
+    e._enqueue(-3, None)
+    assert e._pick_branch() == 2
+
+
+def test_add_clause_puts_unfalsified_literals_first_and_watches_them():
+    e = Engine([(-1,), (-2,)], num_vars=5)
+    e.add_clause((1, 3, 2, 4))
+    clause = e.clauses[-1]
+    assert clause.lits == [3, 4, 1, 2]
+    assert [l for l in (1, 2, 3, 4) if clause in e.watches[l]] == [3, 4]
