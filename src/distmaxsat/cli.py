@@ -226,10 +226,11 @@ def main(argv=None) -> int:
     deadline = time.monotonic() + args.timeout if args.timeout else None
     reporter = Reporter(f, sys.stdout)
     print(f"c instance {args.instance}: {f.num_vars} vars, {len(f.hard)} hard, {len(f.soft)} soft", file=sys.stdout)
-    print(f"c algo {args.algo} mode {args.mode} seed {args.seed}", file=sys.stdout)
-
     if args.mode == "worker":
+        # The master's hello decides the role, so a worker names no algo.
+        print(f"c mode worker seed {args.seed}", file=sys.stdout)
         return _run_worker(args, f)
+    print(f"c algo {args.algo} mode {args.mode} seed {args.seed}", file=sys.stdout)
     if args.mode == "master":
         return _run_master(args, f, reporter, deadline)
     if args.mode == "sim":

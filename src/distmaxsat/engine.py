@@ -431,7 +431,13 @@ class Engine:
         return frozenset(core)
 
     def solve(self, assumptions=(), deadline=None, clock=None):
-        """Solve under assumptions; Sat(total model) or Unsat(core ⊆ assumptions)."""
+        """Solve under assumptions; Sat(total model) or Unsat(core ⊆ assumptions).
+
+        Raises TimeoutError once `clock()` is past `deadline`, checked on entry
+        and at every restart.
+        """
+        if deadline is not None and clock is not None and clock() > deadline:
+            raise TimeoutError("solve deadline exceeded")
         assumptions = list(assumptions)
         if self.root_unsat:
             return Unsat(frozenset())

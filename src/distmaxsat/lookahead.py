@@ -1,20 +1,31 @@
-"""Guiding-path generation by recursive lookahead splitting.
+"""Guiding-path generation by breadth-first lookahead splitting.
 
-The generator walks a binary tree over variables that occur in soft clauses.
-At each node it unit-propagates the decision prefix through a CDCL engine,
-learns from conflicts, and emits the prefix as a guiding path once the dynamic
-cutoff fires: |D| * |D ∪ I| > θ * |Vars|.  θ grows 5% on every call and
-shrinks 30% on conflicts and on the depth guard |D| + log2(#hard) > 25, so
-conflict-rich regions yield shorter paths.
+The generator grows a binary tree over variables that occur in soft clauses,
+expanding open prefixes from a FIFO queue that starts at `d0`.  Expanding a
+node unit-propagates its decision prefix through a CDCL engine and learns from
+a conflict; otherwise the node is emitted as a guiding path once the dynamic
+cutoff fires, |D| * |D ∪ I| > θ * |Vars|, or it splits on the best soft
+variable and queues both children.  θ grows 5% per node and shrinks 30% on
+conflicts and on the depth guard |D| + log2(#hard) > 25, so conflict-rich
+regions yield shorter paths.
 
-Every θ update is recorded in a trace so runs can be replayed and audited.
-Emitted paths are immutable; any two of them conflict on some variable, and
-together they cover every assignment that satisfies the hard clauses.
+An optional budget `max_paths` bounds the work: once the emitted paths plus the
+open prefixes reach it, expansion stops and the open prefixes are emitted as
+they stand, in queue order (the "frontier").  Each expansion adds at most one to
+that sum, so a call emits at most max(max_paths, 2) paths; the root is always
+expanded, so a contradictory root is still detected.  Without a budget the same
+loop runs until every prefix is emitted or pruned.
+
+Every θ update and every emission is recorded in a trace so runs can be
+replayed and audited.  Emitted paths are immutable; any two of them conflict on
+some variable, and together they cover every assignment that satisfies the
+hard clauses.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .engine import Conflict, Engine, Implied
@@ -163,58 +174,65 @@ class PathGenerator:
         d0=(),
         theta0: float = ROOT_CUTOFF,
         parent_index: int | None = None,
+        max_paths: int | None = None,
     ) -> GenerationResult:
         if theta0 <= 0:
             raise ValueError("cutoff must be positive")
         self.theta = float(theta0)
         result = GenerationResult(paths=[], root_conflict=False, trace=[("init", self.theta)])
-        conflicted = self._descend(tuple(d0), parent_index, result)
-        result.root_conflict = conflicted
+        trace = result.trace
+        engine = self.engine
+        budget = math.inf if max_paths is None else max_paths
+        queue = deque([tuple(d0)])
+        expanded = 0
+        while queue and (expanded == 0 or len(result.paths) + len(queue) < budget):
+            decisions = queue.popleft()
+            expanded += 1
+            self.theta *= CUTOFF_GROWTH
+            trace.append(("grow", self.theta))
+            outcome = engine.propagate_under(decisions)
+            if isinstance(outcome, Conflict):
+                self.theta *= CUTOFF_SHRINK
+                trace.append(("shrink", self.theta))
+                if outcome.clause is not None and outcome.level > 0:
+                    engine.analyze_and_learn(outcome)
+                else:
+                    engine.discard_conflict()
+                trace.append(("conflict", self.theta))
+                if expanded == 1:
+                    result.root_conflict = True
+                continue
+            assert isinstance(outcome, Implied)
+            if self._depth_guard(len(decisions)):
+                self.theta *= CUTOFF_SHRINK
+                trace.append(("shrink", self.theta))
+            if len(decisions) * (len(decisions) + len(outcome.literals)) > self.theta * self.var_count:
+                self._emit(decisions, parent_index, result, "emit")
+                continue
+            assigned = {abs(l): l > 0 for l in decisions}
+            for l in outcome.literals:
+                assigned[abs(l)] = l > 0
+            var = choose_variable(engine, assigned, self.soft_vars, self.l_max)
+            if var is None:
+                # Every soft variable is assigned; nothing left worth splitting.
+                self._emit(decisions, parent_index, result, "emit")
+                continue
+            lit = choose_polarity(self.soft, assigned, var)
+            queue.append(decisions + (lit,))
+            queue.append(decisions + (-lit,))
+        for decisions in queue:
+            self._emit(decisions, parent_index, result, "frontier")
         return result
 
     def _depth_guard(self, depth: int) -> bool:
         return self.hard_count > 0 and depth + math.log2(self.hard_count) > DEPTH_GUARD
 
-    def _emit(self, decisions, parent_index, result) -> None:
+    def _emit(self, decisions, parent_index, result, op: str) -> None:
         result.paths.append(
             GuidingPath(decisions=decisions, gen_index=self.next_index, parent_index=parent_index)
         )
         self.next_index += 1
-        result.trace.append(("emit", self.theta))
-
-    def _descend(self, decisions, parent_index, result) -> bool:
-        """Returns True when this node's prefix is contradictory (pruned)."""
-        self.theta *= CUTOFF_GROWTH
-        result.trace.append(("grow", self.theta))
-        outcome = self.engine.propagate_under(decisions)
-        if isinstance(outcome, Conflict):
-            self.theta *= CUTOFF_SHRINK
-            result.trace.append(("shrink", self.theta))
-            if outcome.clause is not None and outcome.level > 0:
-                self.engine.analyze_and_learn(outcome)
-            else:
-                self.engine.discard_conflict()
-            result.trace.append(("conflict", self.theta))
-            return True
-        assert isinstance(outcome, Implied)
-        if self._depth_guard(len(decisions)):
-            self.theta *= CUTOFF_SHRINK
-            result.trace.append(("shrink", self.theta))
-        if len(decisions) * (len(decisions) + len(outcome.literals)) > self.theta * self.var_count:
-            self._emit(decisions, parent_index, result)
-            return False
-        assigned = {abs(l): l > 0 for l in decisions}
-        for l in outcome.literals:
-            assigned[abs(l)] = l > 0
-        var = choose_variable(self.engine, assigned, self.soft_vars, self.l_max)
-        if var is None:
-            # Every soft variable is assigned; nothing left worth splitting.
-            self._emit(decisions, parent_index, result)
-            return False
-        lit = choose_polarity(self.soft, assigned, var)
-        self._descend(decisions + (lit,), parent_index, result)
-        self._descend(decisions + (-lit,), parent_index, result)
-        return False
+        result.trace.append((op, self.theta))
 
 
 def generate_guiding_paths(
@@ -224,6 +242,7 @@ def generate_guiding_paths(
     theta0: float = ROOT_CUTOFF,
     num_vars: int | None = None,
     seed: int = 0,
+    max_paths: int | None = None,
 ) -> GenerationResult:
     """One-shot generation over a fresh generator."""
     if num_vars is None:
@@ -232,7 +251,7 @@ def generate_guiding_paths(
             default=0,
         )
     gen = PathGenerator(hard_clauses, soft_clauses, num_vars=num_vars, seed=seed)
-    return gen.generate(d0=d0, theta0=theta0)
+    return gen.generate(d0=d0, theta0=theta0, max_paths=max_paths)
 
 
 def replay_theta_trace(trace) -> bool:
@@ -245,7 +264,7 @@ def replay_theta_trace(trace) -> bool:
             theta = theta * CUTOFF_GROWTH
         elif op == "shrink":
             theta = theta * CUTOFF_SHRINK
-        elif op not in ("emit", "conflict"):
+        elif op not in ("emit", "frontier", "conflict"):
             return False
         if theta != value:
             return False

@@ -27,6 +27,9 @@ from .sequential import NoImprovement, Optimum, linear_su, msu3
 from .transport import Message
 
 WHOLE_FORMULA_TASK = -1
+# A generate call stops once its emitted plus open paths reach this many per
+# path worker; `_resplit` generates more on demand.
+PATHS_PER_WORKER = 4
 
 
 @dataclass
@@ -46,11 +49,14 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
     return cost(f, model), model
 
 
-def gp_worker(path, mu: int, rf, on_improve=None, seed: int = 0):
+def gp_worker(path, mu: int, rf, on_improve=None, seed: int = 0, deadline=None, clock=None):
     """Solve one guiding path: linear search under the path with bound μ-1."""
     if mu < 1:
         raise ValueError("gp_worker needs mu >= 1")
-    return linear_su(rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path, on_improve=on_improve, seed=seed)
+    return linear_su(
+        rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path, on_improve=on_improve, seed=seed,
+        deadline=deadline, clock=clock,
+    )
 
 
 # --------------------------------------------------------------------- master
@@ -219,25 +225,24 @@ class SssMaster(MasterBase):
                 self._after_update("unsat")
             else:
                 self._rebalance()
-        elif msg.kind in ("report_sat", "report_optimum"):
+        elif msg.kind == "report_optimum":
+            task = msg.payload["task"]
+            if msg.payload["hard_unsat"]:
+                # Unreachable when the initial SAT call succeeded; trust it
+                # only as a stale no-op.
+                return
             checked = self._checked_model(msg.payload) if msg.payload["cost"] >= 0 else None
-            if msg.kind == "report_optimum":
-                task = msg.payload["task"]
-                if msg.payload["hard_unsat"]:
-                    # Unreachable when the initial SAT call succeeded; trust it
-                    # only as a stale no-op.
-                    return
-                if self.current_task.get(src) == task:
-                    self.current_task[src] = None
-                    if bs.owner.get(task) == src:
-                        del bs.owner[task]  # bogus reports return the bound to the pool
+            if self.current_task.get(src) == task:
+                self.current_task[src] = None
+                if bs.owner.get(task) == src:
+                    del bs.owner[task]  # bogus reports return the bound to the pool
             if checked is None:
                 self._rebalance()
                 return
             found, model = checked
             improved = self._improve(found, model)
             updated = bs.apply_sat(found)
-            if msg.kind == "report_optimum" and msg.payload["task"] == WHOLE_FORMULA_TASK:
+            if task == WHOLE_FORMULA_TASK:
                 # The core-guided worker finished: its cost is the optimum.
                 bs.raise_lower(found)
             if updated or improved:
@@ -296,7 +301,7 @@ class GpMaster(MasterBase):
         self._assign_roles()
         self._dispatch_to(self.worker_ids[0], GuidingPath(decisions=(), gen_index=WHOLE_FORMULA_TASK))
         self.generator = PathGenerator(self.f.hard, self.f.soft, num_vars=self.f.num_vars, seed=self.seed)
-        result = self.generator.generate(theta0=ROOT_CUTOFF)
+        result = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget())
         self.gen_trace = result.trace
         if result.root_conflict:
             self._finish("unsatisfiable")
@@ -311,6 +316,9 @@ class GpMaster(MasterBase):
         self._sort_pending()
         self.idle = list(self.path_workers)
         self._dispatch()
+
+    def _path_budget(self) -> int:
+        return PATHS_PER_WORKER * len(self.path_workers)
 
     def _sort_pending(self) -> None:
         self.pending.sort(key=lambda p: (p.depth, p.gen_index))
@@ -343,7 +351,9 @@ class GpMaster(MasterBase):
         _seq, task = min(candidates)
         self.resplit_done.add(task)
         parent = self.in_flight[task][0]
-        result = self.generator.generate(d0=parent.decisions, theta0=RESPLIT_CUTOFF, parent_index=task)
+        result = self.generator.generate(
+            d0=parent.decisions, theta0=RESPLIT_CUTOFF, parent_index=task, max_paths=self._path_budget()
+        )
         self.gen_trace.extend(result.trace)
         if result.paths:
             self.pending.extend(result.paths)
@@ -426,11 +436,15 @@ class GpMaster(MasterBase):
 class WorkerNode:
     """Role-agnostic worker: the master's hello decides what it computes."""
 
-    def __init__(self, wid: str, f: WcnfFormula, send, seed: int = 0):
+    def __init__(self, wid: str, f: WcnfFormula, send, seed: int = 0, deadline=None, clock=None):
         self.wid = wid
         self.f = f
         self.send = send  # callable(Message)
         self.seed = seed
+        # Every SAT call of a task checks these and raises TimeoutError past
+        # the deadline.
+        self.deadline = deadline
+        self.clock = clock
         self.role: str | None = None
         self.rf = None
         self.done = False
@@ -460,7 +474,7 @@ class WorkerNode:
         def report(lam):
             self.send(Message("report_lower_bound", self.wid, {"lb": lam}))
 
-        outcome = msu3(self.f, on_lower_bound=report, seed=self.seed)
+        outcome = msu3(self.f, on_lower_bound=report, seed=self.seed, deadline=self.deadline, clock=self.clock)
         if isinstance(outcome, Optimum):
             self.send(Message(
                 "report_optimum",
@@ -498,7 +512,7 @@ class WorkerNode:
         """One SAT call at Σ r <= bound, reporting either direction."""
         engine, enc = self._bound_engine()
         assumptions = bound_assumptions(enc, min(bound, len(enc.inputs))) if enc is not None else []
-        result = engine.solve(assumptions)
+        result = engine.solve(assumptions, deadline=self.deadline, clock=self.clock)
         if isinstance(result, Sat):
             model = {v: result.model[v] for v in range(1, self.f.num_vars + 1)}
             found = cost(self.f, model)
@@ -525,7 +539,10 @@ class WorkerNode:
         def improved(found, model):
             self.send(Message("report_sat", self.wid, {"cost": found, "model": model_literals(self.f, model)}))
 
-        outcome = gp_worker(path, mu, self.rf, on_improve=improved, seed=self.seed * 1000003 + (task + 2))
+        outcome = gp_worker(
+            path, mu, self.rf, on_improve=improved, seed=self.seed * 1000003 + (task + 2),
+            deadline=self.deadline, clock=self.clock,
+        )
         if isinstance(outcome, Optimum):
             payload = {
                 "task": task,
@@ -569,7 +586,12 @@ def run_sim(
     clock=None,
     max_deliveries: int = 2_000_000,
 ) -> SimOutcome:
-    """Run master and workers in one process over the deterministic bus."""
+    """Run master and workers in one process over the deterministic bus.
+
+    Past `deadline` (read from `clock`) the run stops with an "unknown"
+    verdict and the best model so far: the loop checks between deliveries and
+    every worker SAT call checks on entry and at restarts.
+    """
     from .transport import SimBus
 
     if num_workers < 1:
@@ -580,7 +602,10 @@ def run_sim(
     master = master_cls(f, worker_ids, send=lambda dst, m: bus.send("master", dst, m), seed=seed)
     master.on_improve = on_improve
     workers = {
-        wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=seed * 7919 + i)
+        wid: WorkerNode(
+            wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=seed * 7919 + i,
+            deadline=deadline, clock=clock,
+        )
         for i, wid in enumerate(worker_ids, start=1)
     }
     for wid in worker_ids:
@@ -596,7 +621,10 @@ def run_sim(
         if dst == "master":
             master.on_message(src, msg)
         else:
-            workers[dst].on_message(msg)
+            try:
+                workers[dst].on_message(msg)
+            except TimeoutError:
+                break
     verdict = master.verdict or Verdict(status="unknown", cost=master.best_cost, model=master.best_model)
     return SimOutcome(
         verdict=verdict,

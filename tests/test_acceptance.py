@@ -145,8 +145,12 @@ def _path_masks(path):
     return pos, neg
 
 
+GENERATION_BUDGETS = (None, 1, 2, 3, 5)
+
+
 @pytest.fixture(scope="module")
 def generation_runs():
+    """(formula, max_paths, result) for 120 instances under every budget."""
     runs = []
     for i in range(120):
         rng = random.Random(0x6E9 + i)
@@ -155,14 +159,18 @@ def generation_runs():
             rng.randint(0, 10**9), num_vars, rng.randint(1, 3 * num_vars),
             rng.randint(1, 12), min(3, num_vars),
         )
-        result = generate_guiding_paths(f.hard, f.soft, num_vars=f.num_vars, seed=i)
-        runs.append((f, result))
+        for max_paths in GENERATION_BUDGETS:
+            result = generate_guiding_paths(f.hard, f.soft, num_vars=f.num_vars, seed=i, max_paths=max_paths)
+            runs.append((f, max_paths, result))
     return runs
 
 
 def test_criterion_4_guiding_path_partition(generation_runs):
     start = time.monotonic()
-    for f, result in generation_runs:
+    for f, max_paths, result in generation_runs:
+        if max_paths is not None:
+            # The root is always expanded, so it may leave two open children.
+            assert len(result.paths) <= max(max_paths, 2), (f, max_paths)
         masks = [_path_masks(p) for p in result.paths]
         for (apos, aneg), (bpos, bneg) in itertools.combinations(masks, 2):
             assert (apos & bneg) or (aneg & bpos), f
@@ -173,7 +181,8 @@ def test_criterion_4_guiding_path_partition(generation_runs):
         for m in models:
             assert any((m & pos) == pos and (m & neg) == 0 for pos, neg in masks), f
     assert time.monotonic() - start < 120
-    report(4, f"path partition properties on {len(generation_runs)} instances")
+    report(4, f"path partition properties on {len(generation_runs)} generations "
+              f"({len(GENERATION_BUDGETS)} budgets per instance)")
 
 
 def test_criterion_5_theta_dynamics(generation_runs):
@@ -181,19 +190,22 @@ def test_criterion_5_theta_dynamics(generation_runs):
     assert CUTOFF_GROWTH == 1.05 and CUTOFF_SHRINK == 0.70
     assert ROOT_CUTOFF == 1000.0 and RESPLIT_CUTOFF == 5000.0
     checked = 0
-    for f, result in generation_runs:
+    for _f, _max_paths, result in generation_runs:
         assert result.trace[0] == ("init", 1000.0)
         assert replay_theta_trace(result.trace)
         checked += 1
+    # The budgets leave open prefixes to emit as the frontier.
+    assert any(op == "frontier" for _f, _m, result in generation_runs for op, _ in result.trace)
     # Re-split traces start at 5000 and replay as well.
     f = suite_instance(3)
-    gen = PathGenerator(f.hard, f.soft, num_vars=f.num_vars)
-    first = gen.generate(theta0=ROOT_CUTOFF)
-    assert replay_theta_trace(first.trace)
-    if first.paths:
-        second = gen.generate(d0=first.paths[0].decisions, theta0=RESPLIT_CUTOFF)
-        assert second.trace[0] == ("init", 5000.0)
-        assert replay_theta_trace(second.trace)
+    for max_paths in GENERATION_BUDGETS:
+        gen = PathGenerator(f.hard, f.soft, num_vars=f.num_vars)
+        first = gen.generate(theta0=ROOT_CUTOFF, max_paths=max_paths)
+        assert replay_theta_trace(first.trace)
+        if first.paths:
+            second = gen.generate(d0=first.paths[0].decisions, theta0=RESPLIT_CUTOFF, max_paths=max_paths)
+            assert second.trace[0] == ("init", 5000.0)
+            assert replay_theta_trace(second.trace)
     assert time.monotonic() - start < 10
     report(5, f"theta dynamics replay bit-for-bit on {checked} traces")
 

@@ -147,27 +147,51 @@ def test_malformed_instance(instance, capsys):
     assert "bad instance" in err
 
 
-def socket_run(f_text, algo, workers, port, worker_args):
-    """Run master + workers in threads over localhost; returns master exit code."""
-    import io
+class PerThreadStdout:
+    """A stand-in for sys.stdout that keeps each thread's lines apart."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def write(self, text):
+        self.parts.setdefault(threading.get_ident(), []).append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def mine(self):
+        return "".join(self.parts.get(threading.get_ident(), []))
+
+
+def socket_run(path, algo, workers, port, worker_args):
+    """Run a master and its workers in threads over localhost.  Returns the
+    master's exit code and stdout, and each worker's stdout."""
     from contextlib import redirect_stdout
 
-    results = {}
+    out = PerThreadStdout()
+    results = {"worker_out": []}
 
     def master():
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = main([
-                results["path"], "--algo", algo, "--mode", "master",
-                "--listen", f"127.0.0.1:{port}", "--workers", str(workers), "--seed", "5",
-            ])
-        results["code"] = code
-        results["out"] = buf.getvalue()
+        results["code"] = main([
+            path, "--algo", algo, "--mode", "master",
+            "--listen", f"127.0.0.1:{port}", "--workers", str(workers), "--seed", "5",
+        ])
+        results["out"] = out.mine()
 
     def worker():
-        main([results["path"], "--mode", "worker", *worker_args, "--connect", f"127.0.0.1:{port}"])
+        main([path, "--mode", "worker", *worker_args, "--connect", f"127.0.0.1:{port}"])
+        results["worker_out"].append(out.mine())
 
-    return results, master, worker
+    threads = [threading.Thread(target=master, daemon=True)]
+    threads += [threading.Thread(target=worker, daemon=True) for _ in range(workers)]
+    with redirect_stdout(out):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return results
 
 
 def test_socket_master_worker_roundtrip(tmp_path):
@@ -186,15 +210,13 @@ def test_socket_master_worker_roundtrip(tmp_path):
         port = probe.getsockname()[1]
         probe.close()
 
-        results, master_fn, worker_fn = socket_run(str(path), "sss", 2, port, worker_args)
-        results["path"] = str(path)
-        threads = [threading.Thread(target=master_fn, daemon=True)]
-        threads += [threading.Thread(target=worker_fn, daemon=True) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
+        results = socket_run(str(path), "sss", 2, port, worker_args)
+        assert "c algo sss mode master seed 5" in results["out"].splitlines()
+        # A worker's role comes from the master's hello, whatever --algo says.
+        assert len(results["worker_out"]) == 2
+        for text in results["worker_out"]:
+            assert text.splitlines()[1] == "c mode worker seed 0"
+            assert "c algo" not in text
 
         if expected == HARD_UNSAT:
             assert results["code"] == 20

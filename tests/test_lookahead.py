@@ -186,20 +186,26 @@ def test_tiny_cutoff_emits_d0_alone():
         assert [p.decisions for p in result.paths] == [(1,)]
 
 
+BUDGETS = (None, 1, 2, 3, 5)
+
+
 def test_paths_pairwise_conflicting_and_covering():
     for seed in range(40):
         f = gen_random(seed, num_vars=8, num_hard=8, num_soft=6, clause_len=3)
-        result = generate_guiding_paths(f.hard, f.soft, num_vars=f.num_vars)
-        paths = result.paths
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                assert paths_conflict(paths[i], paths[j]), (seed, i, j)
         models = hard_models(f)
-        if result.root_conflict:
-            assert models == []
-            continue
-        for mask in models:
-            assert any(extends(mask, p) for p in paths), (seed, mask)
+        for max_paths in BUDGETS:
+            result = generate_guiding_paths(f.hard, f.soft, num_vars=f.num_vars, max_paths=max_paths)
+            paths = result.paths
+            if max_paths is not None:
+                assert len(paths) <= max(max_paths, 2), (seed, max_paths)
+            for i in range(len(paths)):
+                for j in range(i + 1, len(paths)):
+                    assert paths_conflict(paths[i], paths[j]), (seed, max_paths, i, j)
+            if result.root_conflict:
+                assert models == []
+                continue
+            for mask in models:
+                assert any(extends(mask, p) for p in paths), (seed, max_paths, mask)
 
 
 def test_gen_indices_in_emission_order():
@@ -213,9 +219,10 @@ def test_gen_indices_in_emission_order():
 def test_theta_trace_replays_exactly():
     for seed in (3, 17, 29):
         f = gen_random(seed, num_vars=8, num_hard=10, num_soft=6, clause_len=3)
-        result = generate_guiding_paths(f.hard, f.soft, num_vars=8)
-        assert result.trace[0] == ("init", 1000.0)
-        assert replay_theta_trace(result.trace)
+        for max_paths in BUDGETS:
+            result = generate_guiding_paths(f.hard, f.soft, num_vars=8, max_paths=max_paths)
+            assert result.trace[0] == ("init", 1000.0)
+            assert replay_theta_trace(result.trace)
 
 
 def test_resplit_reuses_generator_and_restarts_theta():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from distmaxsat.engine import Engine
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
 from distmaxsat.orchestration import (
@@ -161,6 +162,53 @@ def test_gp_early_termination_on_proof_independent_core():
         assert outcome.verdict.cost == expected
         assert outcome.master.terminated_early
         assert outcome.master.pending_at_termination > 0
+
+
+def pigeonhole(blocks: int, holes: int = 4):
+    """`blocks` disjoint copies of PHP(holes+1, holes): "pigeon p sits in some
+    hole" is soft and "no two pigeons share a hole" is hard, so each block
+    leaves exactly one pigeon out and the optimum is `blocks`."""
+    pigeons = holes + 1
+    hard, soft = [], []
+    for b in range(blocks):
+        def x(p, h, _base=b * pigeons * holes):
+            return _base + p * holes + h + 1
+
+        soft += [[x(p, h) for h in range(holes)] for p in range(pigeons)]
+        hard += [
+            [-x(p, h), -x(q, h)]
+            for h in range(holes) for p in range(pigeons) for q in range(p + 1, pigeons)
+        ]
+    return make_formula(blocks * pigeons * holes, hard, soft)
+
+
+def test_gp_root_generation_stops_at_the_path_budget():
+    outcome = run_sim(pigeonhole(1), "gp", num_workers=2, seed=0)
+    assert outcome.verdict.status == "optimum" and outcome.verdict.cost == 1
+    # One path worker beside the whole-formula worker: 4 paths per path worker.
+    root_paths = [p for p in outcome.master.generated_paths if p.parent_index is None]
+    assert 0 < len(root_paths) <= 4
+
+
+def test_sim_deadline_stops_worker_tasks_within_one_sat_call(monkeypatch):
+    """The clock reads the number of SAT calls begun so far, so the deadline
+    passes as a worker task begins its third call; that call must stop at
+    once, the run end "unknown", and no further SAT call start."""
+    calls = []
+    solve = Engine.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "solve", counted)
+    f = pigeonhole(3)
+    for algo in ("sss", "gp"):
+        calls.clear()
+        outcome = run_sim(f, algo, num_workers=3, seed=1, deadline=2, clock=lambda: len(calls))
+        assert outcome.verdict.status == "unknown", algo
+        assert outcome.verdict.cost == outcome.master.best_cost, algo
+        assert len(calls) == 3, (algo, len(calls))
 
 
 def test_sss_audit_log_progression():
