@@ -3,13 +3,13 @@
 The brute-force solver enumerates every total assignment (no pruning), so it
 is trivially auditable; numpy only vectorizes the per-assignment clause
 checks.  Everything else in the package is measured against this module.
+numpy is imported only when an enumeration runs, so the solver itself never
+loads it.
 """
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 from .formula import WcnfFormula, make_formula
 
@@ -18,23 +18,34 @@ HARD_UNSAT = "hard-unsat"
 MAX_ORACLE_VARS = 24
 
 
-def _satisfied_mask(clause: tuple[int, ...], assignments: np.ndarray) -> np.ndarray:
+def _satisfied_mask(clause: tuple[int, ...], assignments):
     """Boolean vector over all assignments: does this clause hold?"""
-    sat = np.zeros(assignments.shape, dtype=bool)
+    sat = None
     for lit in clause:
-        bit = (assignments >> (abs(lit) - 1)) & 1
-        sat |= bit.astype(bool) if lit > 0 else ~bit.astype(bool)
+        bit = ((assignments >> (abs(lit) - 1)) & 1).astype(bool)
+        holds = bit if lit > 0 else ~bit
+        sat = holds if sat is None else sat | holds
     return sat
 
 
-def brute_force(f: WcnfFormula):
-    """Exact optimum cost of `f`, or HARD_UNSAT if no assignment satisfies φH."""
+def _hard_ok(f: WcnfFormula):
+    """Every assignment as a bitmask (bit v-1 = var v), and which satisfy φH."""
+    import numpy as np
+
     if f.num_vars > MAX_ORACLE_VARS:
         raise ValueError(f"too many variables for enumeration: {f.num_vars}")
     assignments = np.arange(1 << f.num_vars, dtype=np.int64)
     hard_ok = np.ones(assignments.shape, dtype=bool)
     for clause in f.hard:
         hard_ok &= _satisfied_mask(clause, assignments)
+    return assignments, hard_ok
+
+
+def brute_force(f: WcnfFormula):
+    """Exact optimum cost of `f`, or HARD_UNSAT if no assignment satisfies φH."""
+    import numpy as np
+
+    assignments, hard_ok = _hard_ok(f)
     if not hard_ok.any():
         return HARD_UNSAT
     violations = np.zeros(assignments.shape, dtype=np.int32)
@@ -45,12 +56,7 @@ def brute_force(f: WcnfFormula):
 
 def hard_models(f: WcnfFormula) -> list[int]:
     """All assignments (as bitmasks, bit v-1 = var v) satisfying every hard clause."""
-    if f.num_vars > MAX_ORACLE_VARS:
-        raise ValueError(f"too many variables for enumeration: {f.num_vars}")
-    assignments = np.arange(1 << f.num_vars, dtype=np.int64)
-    hard_ok = np.ones(assignments.shape, dtype=bool)
-    for clause in f.hard:
-        hard_ok &= _satisfied_mask(clause, assignments)
+    assignments, hard_ok = _hard_ok(f)
     return [int(m) for m in assignments[hard_ok]]
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import BoundSet, initial_bounds
-from .cardinality import bound_assumptions, encode_totalizer
+from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
-from .formula import WcnfFormula, cost, model_literals, relax
+from .formula import WcnfFormula, cost, model_literals, relax, restrict_model
 from .lookahead import RESPLIT_CUTOFF, ROOT_CUTOFF, GuidingPath, PathGenerator
 from .sequential import NoImprovement, Optimum, linear_su, msu3
 from .transport import Message
@@ -45,7 +45,7 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
     result = engine.solve()
     if isinstance(result, Unsat):
         return None
-    model = {v: result.model[v] for v in range(1, f.num_vars + 1)}
+    model = restrict_model(f, result.model)
     return cost(f, model), model
 
 
@@ -446,10 +446,9 @@ class WorkerNode:
         self.deadline = deadline
         self.clock = clock
         self.role: str | None = None
-        self.rf = None
+        self.rf = relax(f)
         self.done = False
-        self._engine = None  # persistent engine for bound testing
-        self._enc = None
+        self._totalizer = None  # persistent engine and totalizer for bound testing
 
     def hello(self) -> None:
         self.send(Message("hello", self.wid, {"role": "worker"}))
@@ -494,27 +493,15 @@ class WorkerNode:
                 {"task": WHOLE_FORMULA_TASK, "cost": -1, "model": [], "proof_independent": False, "hard_unsat": True},
             ))
 
-    def _bound_engine(self):
-        if self._engine is None:
-            self.rf = relax(self.f)
-            self._engine = Engine(num_vars=self.rf.num_vars, seed=self.seed)
-            if self.rf.relax_vars:
-                self._enc = encode_totalizer(self.rf.relax_vars, fresh_from=self.rf.num_vars + 1)
-                self._engine.add_vars(len(self._enc.aux_vars))
-            for clause in self.rf.clauses:
-                self._engine.add_clause(clause)
-            if self._enc is not None:
-                for clause in self._enc.clauses:
-                    self._engine.add_clause(clause)
-        return self._engine, self._enc
-
     def _test_bound(self, bound: int) -> None:
         """One SAT call at Σ r <= bound, reporting either direction."""
-        engine, enc = self._bound_engine()
-        assumptions = bound_assumptions(enc, min(bound, len(enc.inputs))) if enc is not None else []
-        result = engine.solve(assumptions, deadline=self.deadline, clock=self.clock)
+        if self._totalizer is None:
+            engine = Engine(self.rf.clauses, num_vars=self.rf.num_vars, seed=self.seed)
+            self._totalizer = Totalizer(engine, self.rf.relax_vars)
+        totalizer = self._totalizer
+        result = totalizer.engine.solve(totalizer.at_most(bound), deadline=self.deadline, clock=self.clock)
         if isinstance(result, Sat):
-            model = {v: result.model[v] for v in range(1, self.f.num_vars + 1)}
+            model = restrict_model(self.f, result.model)
             found = cost(self.f, model)
             self.send(Message(
                 "report_optimum",
@@ -533,9 +520,6 @@ class WorkerNode:
     # ------------------------------------------------------------- gp roles
 
     def _solve_path(self, task: int, path, mu: int) -> None:
-        if self.rf is None:
-            self.rf = relax(self.f)
-
         def improved(found, model):
             self.send(Message("report_sat", self.wid, {"cost": found, "model": model_literals(self.f, model)}))
 
@@ -590,7 +574,8 @@ def run_sim(
 
     Past `deadline` (read from `clock`) the run stops with an "unknown"
     verdict and the best model so far: the loop checks between deliveries and
-    every worker SAT call checks on entry and at restarts.
+    every worker SAT call checks on entry and at restarts.  Reports already
+    on their way to the master are delivered before the run stops.
     """
     from .transport import SimBus
 
@@ -611,8 +596,10 @@ def run_sim(
     for wid in worker_ids:
         workers[wid].hello()
     deliveries = 0
+    stopped = False
     while not master.finished and bus.pending():
         if deadline is not None and clock is not None and clock() > deadline:
+            stopped = True
             break
         deliveries += 1
         if deliveries > max_deliveries:
@@ -624,7 +611,15 @@ def run_sim(
             try:
                 workers[dst].on_message(msg)
             except TimeoutError:
+                stopped = True
                 break
+    if stopped:
+        # Reports sent before the stop still count: master handling is
+        # monotone and checks every model, so hand it its reports (a hello
+        # would start new work), then stop.
+        for src, msg in bus.drain("master"):
+            if msg.kind != "hello":
+                master.on_message(src, msg)
     verdict = master.verdict or Verdict(status="unknown", cost=master.best_cost, model=master.best_model)
     return SimOutcome(
         verdict=verdict,

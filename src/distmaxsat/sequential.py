@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cardinality import bound_assumptions, encode_totalizer
+from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
-from .formula import RelaxedFormula, WcnfFormula, cost, relax
+from .formula import RelaxedFormula, WcnfFormula, cost, relax, restrict_model
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class NoImprovement:
 OptOutcome = Optimum | HardUnsat | NoImprovement
 
 
-def _restrict(model: dict[int, bool], num_vars: int) -> dict[int, bool]:
-    return {v: model[v] for v in range(1, num_vars + 1)}
-
-
 def linear_su(
     rf: RelaxedFormula,
     ub_init: int | None = None,
@@ -52,9 +48,10 @@ def linear_su(
 ) -> OptOutcome:
     """Iterate SAT calls, tightening the at-most bound after each solution.
 
-    The cardinality encoding is built once over all relaxation variables and
-    tightened through assumptions only.  `path` literals ride along as extra
-    assumptions on every call.
+    The totalizer over all relaxation variables is built at the first bound
+    below n (`ub_init`, or one under the first model's cost) and truncated
+    there; later, smaller bounds are assumptions only.  `path` literals ride
+    along as extra assumptions on every call.
     """
     f = rf.base
     n = len(rf.relax_vars)
@@ -64,25 +61,15 @@ def linear_su(
         raise ValueError(f"ub_init {ub_init} exceeds soft clause count {n}")
     path = list(path)
 
-    engine = Engine(num_vars=rf.num_vars, seed=seed)
-    enc = None
-    if n > 0:
-        enc = encode_totalizer(rf.relax_vars, fresh_from=rf.num_vars + 1)
-        engine.add_vars(len(enc.aux_vars))
-    for clause in rf.clauses:
-        engine.add_clause(clause)
-    if enc is not None:
-        for clause in enc.clauses:
-            engine.add_clause(clause)
-
+    engine = Engine(rf.clauses, num_vars=rf.num_vars, seed=seed)
+    totalizer = Totalizer(engine, rf.relax_vars)
     bound = ub_init
     best: Optimum | None = None
-    first_call_had_assumptions = bool(path) or (enc is not None and bound < n)
+    first_call_had_assumptions = bool(path) or bound < n
     while True:
-        assumptions = path + (bound_assumptions(enc, bound) if enc is not None else [])
-        result = engine.solve(assumptions, deadline=deadline, clock=clock)
+        result = engine.solve(path + totalizer.at_most(bound), deadline=deadline, clock=clock)
         if isinstance(result, Sat):
-            model = _restrict(result.model, f.num_vars)
+            model = restrict_model(f, result.model)
             found = cost(f, model)
             best = Optimum(found, model)
             if on_improve is not None:
@@ -110,38 +97,30 @@ def msu3(
 
     All soft clauses carry a relaxation variable up front; "unrelaxed" clauses
     are enforced by assuming their variable false.  Each unsat core moves its
-    soft clauses into the relaxed set, the lower bound grows by one, and the
-    at-most constraint is re-encoded over the current relaxed set.
+    soft clauses into the relaxed set and the lower bound grows by one; the
+    next call merges them into the one totalizer and raises its k to the new
+    bound, so nothing is re-encoded.
     """
     rf = relax(f)
-    n = len(rf.relax_vars)
-    engine = Engine(num_vars=rf.num_vars, seed=seed)
-    for clause in rf.clauses:
-        engine.add_clause(clause)
+    soft_vars = set(rf.relax_vars)
+    engine = Engine(rf.clauses, num_vars=rf.num_vars, seed=seed)
+    totalizer = Totalizer(engine)
 
-    relaxed: list[int] = []  # relaxation variables whose clauses may be violated
+    relaxed: set[int] = set()  # relaxation variables whose clauses may be violated
     lam = 0
-    enc = None
     while True:
         enforce = [-r for r in rf.relax_vars if r not in relaxed]
-        bound_lits = bound_assumptions(enc, lam) if enc is not None else []
-        result = engine.solve(enforce + bound_lits, deadline=deadline, clock=clock)
+        result = engine.solve(enforce + totalizer.at_most(lam), deadline=deadline, clock=clock)
         if isinstance(result, Sat):
-            model = _restrict(result.model, f.num_vars)
+            model = restrict_model(f, result.model)
             return Optimum(cost(f, model), model)
         assert isinstance(result, Unsat)
-        core_softs = sorted(-l for l in result.core if -l in rf.relax_vars)
-        bound_hit = any(l not in rf.relax_vars and -l not in rf.relax_vars for l in result.core)
+        core_softs = sorted(-l for l in result.core if -l in soft_vars)
+        bound_hit = any(l not in soft_vars and -l not in soft_vars for l in result.core)
         if not core_softs and not bound_hit:
             return HardUnsat()
-        relaxed.extend(core_softs)
+        relaxed.update(core_softs)
+        totalizer.extend(core_softs)
         lam += 1
         if on_lower_bound is not None:
             on_lower_bound(lam)
-        if relaxed and lam < len(relaxed):
-            enc = encode_totalizer(relaxed, fresh_from=engine.num_vars + 1)
-            engine.add_vars(len(enc.aux_vars))
-            for clause in enc.clauses:
-                engine.add_clause(clause)
-        else:
-            enc = None  # bound can't bite yet

@@ -155,6 +155,14 @@ class SimBus:
         self.trace.append(b"%s>%s %s" % (src.encode(), dst.encode(), data))
         return src, dst, decode_message(data)
 
+    def drain(self, dst: str):
+        """Every message waiting for `dst`, link by link in sorted order."""
+        for src, to in sorted(self.queues):
+            while to == dst and self.queues[(src, to)]:
+                data = self.queues[(src, to)].popleft()
+                self.trace.append(b"%s>%s %s" % (src.encode(), dst.encode(), data))
+                yield src, decode_message(data)
+
 
 class LineChannel:
     """Newline-framed messages over a connected stream socket."""

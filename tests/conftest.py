@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from distmaxsat.formula import clause_satisfied
+from distmaxsat.formula import clause_satisfied, make_formula
 
 
 def assignment_from_mask(mask: int, num_vars: int) -> dict[int, bool]:
@@ -77,3 +77,21 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, max_len: int
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def pigeonhole(blocks: int, holes: int = 4):
+    """`blocks` disjoint copies of PHP(holes+1, holes): "pigeon p sits in some
+    hole" is soft and "no two pigeons share a hole" is hard, so each block
+    leaves exactly one pigeon out and the optimum is `blocks`."""
+    pigeons = holes + 1
+    hard, soft = [], []
+    for b in range(blocks):
+        def x(p, h, _base=b * pigeons * holes):
+            return _base + p * holes + h + 1
+
+        soft += [[x(p, h) for h in range(holes)] for p in range(pigeons)]
+        hard += [
+            [-x(p, h), -x(q, h)]
+            for h in range(holes) for p in range(pigeons) for q in range(p + 1, pigeons)
+        ]
+    return make_formula(blocks * pigeons * holes, hard, soft)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -269,3 +273,21 @@ def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):
     assert not thread.is_alive()
     assert "error" not in result, repr(result.get("error"))
     assert result["code"] == 0
+
+
+def test_solver_never_imports_numpy(instance):
+    """Only the brute-force oracle uses numpy; importing the package and a
+    standalone CLI run must not load it (fresh interpreter)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys, distmaxsat\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from distmaxsat.cli import main\n"
+        f"code = main([{instance(EXAMPLE)!r}, '--algo', 'linear'])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 30, proc.stderr
+    assert "s OPTIMUM FOUND" in proc.stdout

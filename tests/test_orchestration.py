@@ -14,7 +14,9 @@ from distmaxsat.orchestration import (
     run_sim,
 )
 from distmaxsat.sequential import NoImprovement, Optimum
-from distmaxsat.transport import Message
+from distmaxsat.transport import Message, SimBus
+
+from conftest import pigeonhole
 
 
 def test_initial_upper_bound_hard_unsat():
@@ -164,24 +166,6 @@ def test_gp_early_termination_on_proof_independent_core():
         assert outcome.master.pending_at_termination > 0
 
 
-def pigeonhole(blocks: int, holes: int = 4):
-    """`blocks` disjoint copies of PHP(holes+1, holes): "pigeon p sits in some
-    hole" is soft and "no two pigeons share a hole" is hard, so each block
-    leaves exactly one pigeon out and the optimum is `blocks`."""
-    pigeons = holes + 1
-    hard, soft = [], []
-    for b in range(blocks):
-        def x(p, h, _base=b * pigeons * holes):
-            return _base + p * holes + h + 1
-
-        soft += [[x(p, h) for h in range(holes)] for p in range(pigeons)]
-        hard += [
-            [-x(p, h), -x(q, h)]
-            for h in range(holes) for p in range(pigeons) for q in range(p + 1, pigeons)
-        ]
-    return make_formula(blocks * pigeons * holes, hard, soft)
-
-
 def test_gp_root_generation_stops_at_the_path_budget():
     outcome = run_sim(pigeonhole(1), "gp", num_workers=2, seed=0)
     assert outcome.verdict.status == "optimum" and outcome.verdict.cost == 1
@@ -209,6 +193,28 @@ def test_sim_deadline_stops_worker_tasks_within_one_sat_call(monkeypatch):
         assert outcome.verdict.status == "unknown", algo
         assert outcome.verdict.cost == outcome.master.best_cost, algo
         assert len(calls) == 3, (algo, len(calls))
+
+
+def test_sim_deadline_keeps_models_reported_before_it(monkeypatch):
+    """The clock reads the number of models reported so far, so the deadline
+    passes as soon as a path task sends its first `report_sat`, and that
+    task's next SAT call stops it with the report still on the bus.  The
+    master must receive it: the reported model is in the verdict."""
+    reported = []
+    send = SimBus.send
+
+    def recorded(self, src, dst, msg):
+        if msg.kind == "report_sat":
+            reported.append(msg.payload["cost"])
+        return send(self, src, dst, msg)
+
+    monkeypatch.setattr(SimBus, "send", recorded)
+    f = pigeonhole(3)
+    outcome = run_sim(f, "gp", num_workers=3, seed=1, deadline=0, clock=lambda: len(reported))
+    assert len(reported) == 1
+    assert outcome.verdict.status == "unknown"
+    assert outcome.verdict.cost == reported[0]
+    assert cost(f, outcome.verdict.model) == reported[0]
 
 
 def test_sss_audit_log_progression():
