@@ -131,11 +131,24 @@ def _run_sim(args, f, reporter, deadline) -> int:
 
 def _run_master(args, f, reporter, deadline) -> int:
     host, port = _parse_addr(args.listen)
-    channels, server = listen(host, port, expected=args.workers)
+    try:
+        channels, server = listen(host, port, expected=args.workers, deadline=deadline)
+    except TimeoutError:
+        print("c timeout", file=reporter.out)
+        return reporter.finish("unknown")
     ids = [f"w{i}" for i in range(1, len(channels) + 1)]
     by_id = dict(zip(ids, channels))
+    # A broken link is handled between master calls, never inside one.
+    lost: list[str] = []
+
+    def send(wid, msg):
+        try:
+            by_id[wid].send(msg)
+        except (BrokenPipeError, ConnectionResetError):
+            lost.append(wid)
+
     master_cls = SssMaster if args.algo == "sss" else GpMaster
-    master = master_cls(f, ids, send=lambda wid, m: by_id[wid].send(m), seed=args.seed)
+    master = master_cls(f, ids, send=send, seed=args.seed)
     master.on_improve = reporter.improve
 
     sel = selectors.DefaultSelector()
@@ -143,18 +156,30 @@ def _run_master(args, f, reporter, deadline) -> int:
         sel.register(chan.sock, selectors.EVENT_READ, wid)
     try:
         while not master.finished:
-            if deadline is not None and time.monotonic() > deadline:
-                print("c timeout", file=reporter.out)
+            while lost:
+                wid = lost.pop(0)
+                chan = by_id.pop(wid, None)
+                if chan is not None:
+                    print(f"c worker {wid} lost", file=reporter.out)
+                    sel.unregister(chan.sock)
+                    master.on_worker_lost(wid)
+            if master.finished:
+                break
+            if not by_id or (deadline is not None and time.monotonic() > deadline):
+                print("c timeout" if by_id else "c no worker left", file=reporter.out)
                 return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
             for key, _ in sel.select(timeout=0.2):
                 wid = key.data
                 chan = by_id[wid]
-                while True:
+                while wid not in lost:
                     try:
                         msg = chan.poll()
                     except MessageError as exc:
                         print(f"c dropping {wid}: {exc}", file=sys.stderr)
                         msg = None
+                    except (EOFError, ConnectionResetError):
+                        lost.append(wid)
+                        break
                     if msg is None:
                         break
                     master.on_message(wid, msg)

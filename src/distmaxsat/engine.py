@@ -10,9 +10,10 @@ Beyond `solve`, the engine exposes `propagate_under`, `analyze_and_learn` and
 `watched_clauses` so the guiding-path generator can reuse the propagation and
 analysis machinery instead of reimplementing it.
 
-Watch lists are kept strict: a clause with at least two unfalsified literals
-always watches two unfalsified literals, so `watched_clauses` reflects the
-true shortened state of every clause.
+Watch lists are lazy (Chaff, MiniSat).  After every conflict-free
+propagation a false watched literal means the other watched literal is true
+and was assigned at the same or a lower level; so an unsatisfied clause
+watches two unfalsified literals, which is all the lookahead's score reads.
 
 Same-search contract.  Every engine given the same clauses, calls and seed
 makes the same trail, learned clauses, decisions, models and cores.  The
@@ -20,10 +21,10 @@ lookahead's watched-only score and the benchmark's determinism fingerprints
 rest on the order-sensitive rules below; a change keeps them, or changes
 them knowingly and is measured as a change of search:
 
-- strict watches: a visited watcher moves to the first unfalsified literal
-  at position 2 or later even when its other watch already satisfies the
-  clause; it is appended to that literal's list and its old slot is filled
-  by the last watcher of the list being scanned;
+- lazy watches: a visited watcher whose other watch is true is skipped;
+  otherwise it moves to the first unfalsified literal at position 2 or
+  later, is appended to that literal's list, and its old slot is filled by
+  the last watcher of the list being scanned;
 - propagation takes the trail in order and each watch list front to back;
 - learning is first-UIP, bumping variables in the order the analysis meets
   them, and moves the first literal of the second-highest level to
@@ -256,8 +257,11 @@ class Engine:
                 lits = clause.lits
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
-                # Eager migration keeps the strict two-watch invariant even
-                # when lits[0] already satisfies the clause.
+                other = lits[0]
+                val = assigns[other]
+                if val > 0:
+                    i += 1
+                    continue
                 for k in range(2, len(lits)):
                     q = lits[k]
                     if assigns[q] >= 0:
@@ -268,8 +272,6 @@ class Engine:
                         watchers.pop()
                         break
                 else:
-                    other = lits[0]
-                    val = assigns[other]
                     if val == 0:
                         assigns[other] = 1
                         assigns[-other] = -1
@@ -277,7 +279,7 @@ class Engine:
                         levels[v] = level
                         reasons[v] = clause
                         trail.append(other)
-                    elif val < 0:
+                    else:
                         self.qhead = qhead
                         return clause
                     i += 1

@@ -124,13 +124,28 @@ class MasterBase:
             return
         if msg.kind == "hello":
             self.registered.add(src)
-            if not self._begun and self.registered >= set(self.worker_ids):
-                self._begun = True
-                self._begin()
+            self._begin_when_ready()
             return
         self._handle(src, msg)
 
+    def _begin_when_ready(self) -> None:
+        if not self._begun and self.worker_ids and self.registered >= set(self.worker_ids):
+            self._begun = True
+            self._begin()
+
     def on_worker_lost(self, wid: str) -> None:
+        """Drop a worker whose link broke.  Before the run begins the roster
+        only shrinks; afterwards its live task goes back to the pool."""
+        if self.finished or wid not in self.worker_ids:
+            return
+        self.worker_ids.remove(wid)
+        self.registered.discard(wid)
+        if self._begun:
+            self._reclaim(wid)
+        else:
+            self._begin_when_ready()
+
+    def _reclaim(self, wid: str) -> None:
         raise NotImplementedError
 
     def _begin(self) -> None:
@@ -254,16 +269,13 @@ class SssMaster(MasterBase):
                 self._after_update("lower_bound")
         # abort/terminate never arrive at the master
 
-    def on_worker_lost(self, wid: str) -> None:
-        task = self.current_task.get(wid)
-        if task is not None and self.bound_set is not None:
+    def _reclaim(self, wid: str) -> None:
+        task = self.current_task.pop(wid, None)
+        if task is not None:
             self.bound_set.owner.pop(task, None)
-            self.current_task[wid] = None
         if wid in self.linear_workers:
             self.linear_workers.remove(wid)
-        self.worker_ids.remove(wid)
-        if self.bound_set is not None:
-            self._rebalance()
+        self._rebalance()
 
 
 class GpMaster(MasterBase):
@@ -415,7 +427,7 @@ class GpMaster(MasterBase):
             return
         self._dispatch()
 
-    def on_worker_lost(self, wid: str) -> None:
+    def _reclaim(self, wid: str) -> None:
         for task, (path, _mu, _seq, owner) in list(self.in_flight.items()):
             if owner == wid:
                 del self.in_flight[task]
@@ -426,7 +438,6 @@ class GpMaster(MasterBase):
             self.path_workers.remove(wid)
         if wid in self.idle:
             self.idle.remove(wid)
-        self.worker_ids.remove(wid)
         self._dispatch()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import socket
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -32,8 +33,6 @@ SCHEMA: dict[str, dict[str, str]] = {
     "abort": {},
     "terminate": {"verdict": "str", "cost": "int", "model": "lits"},
 }
-
-ROLES = ("sss_linear", "sss_msu3", "gp_solver", "gp_linear")
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,8 @@ class LineChannel:
         return decode_message(line + b"\n")
 
     def poll(self) -> Message | None:
-        """Non-blocking receive; None when no complete line is waiting."""
+        """Non-blocking receive; None when no complete line is waiting.
+        Raises EOFError once the peer has closed the connection."""
         self.sock.setblocking(False)
         try:
             while b"\n" not in self.buffer:
@@ -200,7 +200,7 @@ class LineChannel:
                 except BlockingIOError:
                     return None
                 if not chunk:
-                    return None
+                    raise EOFError("connection closed")
                 self.buffer += chunk
         finally:
             self.sock.setblocking(True)
@@ -214,20 +214,27 @@ class LineChannel:
             pass
 
 
-def listen(host: str, port: int, expected: int) -> tuple[list[LineChannel], socket.socket]:
-    """Accept `expected` worker connections; returns their channels."""
+def listen(host: str, port: int, expected: int, deadline=None) -> tuple[list[LineChannel], socket.socket]:
+    """Accept `expected` worker connections; returns their channels.  Raises
+    TimeoutError once `time.monotonic()` passes `deadline`."""
     server = socket.create_server((host, port))
     channels = []
     while len(channels) < expected:
-        conn, _ = server.accept()
+        if deadline is not None:
+            server.settimeout(max(deadline - time.monotonic(), 1e-3))
+        try:
+            conn, _ = server.accept()
+        except socket.timeout:
+            for chan in channels:
+                chan.close()
+            server.close()
+            raise TimeoutError("not every worker connected before the deadline") from None
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         channels.append(LineChannel(conn))
     return channels, server
 
 
 def connect(host: str, port: int, retries: int = 50, delay: float = 0.1) -> LineChannel:
-    import time
-
     last = None
     for _ in range(retries):
         try:

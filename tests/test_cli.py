@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -168,18 +169,27 @@ class PerThreadStdout:
         return "".join(self.parts.get(threading.get_ident(), []))
 
 
-def socket_run(path, algo, workers, port, worker_args):
+def free_port():
+    import socket as socketlib
+
+    with socketlib.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def socket_run(path, algo, workers, port, worker_args, quitters=0):
     """Run a master and its workers in threads over localhost.  Returns the
-    master's exit code and stdout, and each worker's stdout."""
-    from contextlib import redirect_stdout
+    master's exit code and stdout, and each worker's stdout.  Each of the
+    `quitters` extra workers says hello and closes its connection."""
+    from distmaxsat.transport import Message, connect
 
     out = PerThreadStdout()
     results = {"worker_out": []}
 
     def master():
         results["code"] = main([
-            path, "--algo", algo, "--mode", "master",
-            "--listen", f"127.0.0.1:{port}", "--workers", str(workers), "--seed", "5",
+            path, "--algo", algo, "--mode", "master", "--listen", f"127.0.0.1:{port}",
+            "--workers", str(workers + quitters), "--seed", "5",
         ])
         results["out"] = out.mine()
 
@@ -187,8 +197,14 @@ def socket_run(path, algo, workers, port, worker_args):
         main([path, "--mode", "worker", *worker_args, "--connect", f"127.0.0.1:{port}"])
         results["worker_out"].append(out.mine())
 
+    def quitter():
+        chan = connect("127.0.0.1", port)
+        chan.send(Message("hello", "w0", {"role": "worker"}))
+        chan.close()
+
     threads = [threading.Thread(target=master, daemon=True)]
     threads += [threading.Thread(target=worker, daemon=True) for _ in range(workers)]
+    threads += [threading.Thread(target=quitter, daemon=True) for _ in range(quitters)]
     with redirect_stdout(out):
         for t in threads:
             t.start()
@@ -204,17 +220,11 @@ def test_socket_master_worker_roundtrip(tmp_path):
     path = tmp_path / "sock.wcnf"
     path.write_text(serialize_wcnf(f))
 
-    import socket as socketlib
     from distmaxsat.oracle import HARD_UNSAT
 
     # The second worker argv is the README's worker line, which names no --algo.
     for worker_args in (["--algo", "sss"], []):
-        probe = socketlib.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
-        results = socket_run(str(path), "sss", 2, port, worker_args)
+        results = socket_run(str(path), "sss", 2, free_port(), worker_args)
         assert "c algo sss mode master seed 5" in results["out"].splitlines()
         # A worker's role comes from the master's hello, whatever --algo says.
         assert len(results["worker_out"]) == 2
@@ -228,6 +238,41 @@ def test_socket_master_worker_roundtrip(tmp_path):
             assert results["code"] == 30
             final_o = [int(l.split()[1]) for l in results["out"].splitlines() if l.startswith("o ")][-1]
             assert final_o == expected
+
+
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+def test_socket_master_survives_a_worker_that_says_hello_and_closes(tmp_path, algo):
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    expected = brute_force(f)
+    assert expected > 0
+    path = tmp_path / "lost.wcnf"
+    path.write_text(serialize_wcnf(f))
+    for _ in range(3):  # the loss lands before or after the run begins
+        results = socket_run(str(path), algo, 1, free_port(), [], quitters=1)
+        lines = results["out"].splitlines()
+        assert results["code"] == 30, results["out"]
+        assert "s OPTIMUM FOUND" in lines
+        assert [l for l in lines if l.startswith("o ")][-1] == f"o {expected}"
+
+
+def test_master_timeout_bounds_waiting_for_workers(instance):
+    path = instance(EXAMPLE)
+    out = PerThreadStdout()
+    result = {}
+
+    def master():
+        result["code"] = main([path, "--algo", "sss", "--mode", "master", "--workers", "2",
+                               "--listen", f"127.0.0.1:{free_port()}", "--timeout", "1"])
+        result["out"] = out.mine()
+
+    thread = threading.Thread(target=master, daemon=True)
+    with redirect_stdout(out):
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert result["code"] == 0
+    lines = result["out"].splitlines()
+    assert lines[-2:] == ["c timeout", "s UNKNOWN"]
 
 
 def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):

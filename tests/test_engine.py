@@ -242,48 +242,75 @@ def test_watched_clauses_absent_literal():
     assert e.watched_clauses(-3) == []
 
 
-def check_two_watch_invariant(engine):
-    """Every clause with >= 2 unfalsified literals watches two unfalsified ones.
+def check_lazy_watch_invariant(engine):
+    """A false watched literal means the other watched literal is true and
+    was assigned at the same or a lower level.
 
-    Only meaningful on a live engine: a level-0 conflict aborts propagation
-    mid-queue and the engine is permanently UNSAT afterwards.
+    Holds after every conflict-free propagation; a conflict aborts
+    propagation mid-queue, and a root-level one leaves the engine
+    permanently UNSAT.
     """
     if engine.root_unsat:
         return
     for clause in engine.clauses + engine.learned_clauses:
         if len(clause.lits) < 2:
             continue
-        attached = clause in engine.watches.get(
-            clause.lits[0], ()
-        ) and clause in engine.watches.get(clause.lits[1], ())
-        unfalsified = sum(1 for l in clause.lits if engine.value(l) >= 0)
-        if unfalsified >= 2 and attached:
-            assert engine.value(clause.lits[0]) >= 0
-            assert engine.value(clause.lits[1]) >= 0
+        a, b = clause.lits[0], clause.lits[1]
+        if clause not in engine.watches[a] or clause not in engine.watches[b]:
+            continue  # a level-0 unit or satisfied clause: never watched
+        for false_lit, other in ((a, b), (b, a)):
+            if engine.value(false_lit) < 0:
+                assert engine.value(other) > 0, clause
+                assert engine.levels[abs(other)] <= engine.levels[abs(false_lit)], clause
 
 
 def test_watch_invariant_after_propagation():
     rng = random.Random(61)
+    checked_above_root = 0
     for _ in range(60):
         num_vars = rng.randint(3, 10)
         clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
         e = Engine(clauses, num_vars=num_vars)
         if e.root_unsat:
             continue
-        check_two_watch_invariant(e)
+        check_lazy_watch_invariant(e)
         decisions = [
             v if rng.random() < 0.5 else -v
             for v in rng.sample(range(1, num_vars + 1), min(3, num_vars))
         ]
-        try:
-            outcome = e.propagate_under(decisions)
-        except ValueError:
-            continue
+        # One decision per level, checked after each conflict-free propagation.
+        for d in decisions:
+            if e.value(d) != 0:
+                continue
+            e._new_level()
+            e._enqueue(d, None)
+            if e._propagate() is not None:
+                break
+            check_lazy_watch_invariant(e)
+            checked_above_root += 1
+        e._cancel_until(0)
+        outcome = e.propagate_under(decisions)
         if isinstance(outcome, Conflict):
             e.discard_conflict()
-        check_two_watch_invariant(e)
+        check_lazy_watch_invariant(e)
         e.solve()
-        check_two_watch_invariant(e)
+        check_lazy_watch_invariant(e)
+    assert checked_above_root > 20
+
+
+def test_satisfied_clause_keeps_its_watch():
+    """A watcher whose other watch is already true is not moved."""
+    e = Engine([(1, 2, 3)], num_vars=3)
+    clause = e.clauses[0]
+    assert clause.lits[:2] == [1, 2]
+    e._new_level()
+    e._enqueue(1, None)
+    assert e._propagate() is None
+    e._new_level()
+    e._enqueue(-2, None)
+    assert e._propagate() is None
+    assert clause in e.watches[2]
+    assert clause not in e.watches[3]
 
 
 def test_deterministic_given_seed():

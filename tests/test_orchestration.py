@@ -301,6 +301,51 @@ def test_gp_master_requeues_tasks_of_lost_worker():
         assert task not in master.in_flight
 
 
+def run_master_to_end(master, workers, bus):
+    """Deliver every message until the master finishes or the bus is empty."""
+    while not master.finished and bus.pending():
+        src, dst, msg = bus.deliver_next()
+        if dst == "master":
+            master.on_message(src, msg)
+        else:
+            workers[dst].on_message(msg)
+
+
+@pytest.mark.parametrize("master_cls", [SssMaster, GpMaster])
+def test_worker_lost_before_its_hello_leaves_the_rest_to_run(master_cls):
+    """The roster shrinks; the run begins once every remaining worker said
+    hello, and it neither ends early nor waits for the lost worker."""
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    expected = brute_force(f)
+    bus = SimBus(0, ["master", "w1", "w2"])
+    master = master_cls(f, ["w1", "w2"], send=lambda dst, m: bus.send("master", dst, m), seed=0)
+    workers = {"w1": WorkerNode("w1", f, send=lambda m: bus.send("w1", "master", m), seed=1)}
+    # Lost before anyone said hello: nothing is decided yet.
+    master.on_worker_lost("w2")
+    assert master.verdict is None and not master._begun
+    workers["w1"].hello()
+    run_master_to_end(master, workers, bus)
+    assert master.verdict.status == "optimum"
+    assert master.verdict.cost == expected
+
+
+@pytest.mark.parametrize("master_cls", [SssMaster, GpMaster])
+def test_worker_lost_after_the_others_said_hello_begins_the_run(master_cls):
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    expected = brute_force(f)
+    bus = SimBus(0, ["master", "w1", "w2"])
+    master = master_cls(f, ["w1", "w2"], send=lambda dst, m: bus.send("master", dst, m), seed=0)
+    workers = {"w2": WorkerNode("w2", f, send=lambda m: bus.send("w2", "master", m), seed=2)}
+    master.on_message("w2", Message("hello", "w2", {"role": "worker"}))
+    assert not master._begun
+    master.on_worker_lost("w1")
+    assert master._begun
+    assert master.worker_ids == ["w2"]
+    run_master_to_end(master, workers, bus)
+    assert master.verdict.status == "optimum"
+    assert master.verdict.cost == expected
+
+
 def test_worker_ignores_abort_and_terminate_cleanly():
     sent = []
     w = WorkerNode("w1", make_formula(1, [], [[1]]), send=sent.append, seed=0)
