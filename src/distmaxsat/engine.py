@@ -7,8 +7,8 @@ as the first decisions; when one is contradicted, the subset of assumptions
 responsible is returned as the core.
 
 Beyond `solve`, the engine exposes `propagate_under`, `analyze_and_learn` and
-`watched_clauses` so the guiding-path generator can reuse the propagation and
-analysis machinery instead of reimplementing it.
+its `watches` lists so the guiding-path generator can reuse the propagation
+and analysis machinery instead of reimplementing it.
 
 Watch lists are lazy (Chaff, MiniSat).  After every conflict-free
 propagation a false watched literal means the other watched literal is true
@@ -129,7 +129,6 @@ class Engine:
         self.qhead = 0
         self.clauses: list[Clause] = []
         self.learned_clauses: list[Clause] = []
-        self.learned: list[tuple[int, ...]] = []  # record of every clause learned
         self.root_unsat = False
         self.var_inc = 1.0
         self.conflicts = 0
@@ -222,10 +221,6 @@ class Engine:
     def _detach(self, clause: Clause) -> None:
         self.watches[clause.lits[0]].remove(clause)
         self.watches[clause.lits[1]].remove(clause)
-
-    def watched_clauses(self, lit: int) -> list[Clause]:
-        """Clauses currently watching `lit` (a copy of the watch list)."""
-        return list(self.watches.get(lit, ()))
 
     # ----------------------------------------------------------- propagation
 
@@ -367,7 +362,6 @@ class Engine:
         return learnt, backtrack
 
     def _record_learned(self, learnt: list[int], backtrack: int) -> None:
-        self.learned.append(tuple(learnt))
         self._cancel_until(backtrack)
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)

@@ -4,14 +4,25 @@ The master is a single event loop: every piece of shared state lives in it and
 mutates only when a decoded message is handled.  Workers own their engines and
 never talk to each other; all traffic goes through the master.
 
-Stale results are harmless by construction: models only ever lower the upper
-bound, UNSAT proofs only ever raise the lower bound, so a report about a task
-the master already reassigned still applies monotonically.
+Both masters narrow one cost window, the `BoundSet` in `MasterBase`: μ is the
+cost of the best model held (`num_soft + 1` before the first one) and λ a
+proven lower bound.  Workers report two kinds of fact, models and proofs:
 
-A worker concludes every task with either `report_unsat` (bound workers) or
-`report_optimum` (everything else); conclusions echo the task so the master
-can tell a live conclusion from a stale one.  The whole-formula tasks of the
-core-guided and full-linear-search workers use task id -1.
+- `report_sat{cost, model}`: a model, sent as soon as it is found; it lowers μ.
+- `report_lower_bound{lb}`: no model costs less than `lb`; it raises λ.
+- `report_done{task, lb}`: exactly one per `assign_bound`/`assign_path`; `lb`
+  is the global lower bound the task proved, 0 if none.  The master caps it at
+  bound+1 for a bound probe and at the μ it sent for a path, and a stale task
+  (one the master no longer holds for that worker) adds nothing.
+
+The master raises λ itself on its own proofs: to `num_soft + 1` when the hard
+clauses are unsatisfiable, and to μ once every guiding path has concluded,
+because the paths partition the search space.  The run ends in one place, as
+soon as λ ≥ μ: "optimum" when a model is held, "unsatisfiable" when none is.
+
+Models only lower μ and proofs only raise λ, so a report that arrives after
+the master moved on still applies monotonically.  The whole-formula task of
+the gp linear-search worker uses task id -1.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
 from .formula import WcnfFormula, cost, model_literals, relax, restrict_model
 from .lookahead import RESPLIT_CUTOFF, ROOT_CUTOFF, GuidingPath, PathGenerator
-from .sequential import NoImprovement, Optimum, linear_su, msu3
+from .sequential import HardUnsat, Optimum, linear_su, msu3
 from .transport import Message
 
 WHOLE_FORMULA_TASK = -1
@@ -49,16 +60,6 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
     return cost(f, model), model
 
 
-def gp_worker(path, mu: int, rf, on_improve=None, seed: int = 0, deadline=None, clock=None):
-    """Solve one guiding path: linear search under the path with bound μ-1."""
-    if mu < 1:
-        raise ValueError("gp_worker needs mu >= 1")
-    return linear_su(
-        rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path, on_improve=on_improve, seed=seed,
-        deadline=deadline, clock=clock,
-    )
-
-
 # --------------------------------------------------------------------- master
 
 
@@ -73,21 +74,47 @@ class MasterBase:
         self._begun = False
         self.finished = False
         self.verdict: Verdict | None = None
-        self.best_cost: int | None = None
+        self.window = BoundSet(lam=0, mu=f.num_soft + 1)
         self.best_model: dict[int, bool] | None = None
         self.improvements: list[int] = []
         self.on_improve = None  # optional callable(cost, model)
-        self.audit: list[tuple[str, int, int]] = []
+        self.audit: list[tuple[str, int, int]] = []  # (event, λ, μ) after each move
 
-    def _improve(self, found: int, model: dict[int, bool]) -> bool:
-        if self.best_cost is not None and found >= self.best_cost:
-            return False
-        self.best_cost = found
+    @property
+    def best_cost(self) -> int | None:
+        return self.window.mu if self.best_model is not None else None
+
+    def _improve(self, found: int, model: dict[int, bool]) -> None:
+        if not self.window.apply_sat(found):
+            return
         self.best_model = model
         self.improvements.append(found)
         if self.on_improve is not None:
             self.on_improve(found, model)
-        return True
+        self._moved("sat")
+
+    def _raise_lower(self, lb: int) -> None:
+        if self.window.raise_lower(lb):
+            self._moved("lower_bound")
+
+    def _moved(self, event: str) -> None:
+        self.audit.append((event, self.window.lam, self.window.mu))
+        if self.window.closed and not self.finished:
+            self._finish()
+
+    def _finish(self) -> None:
+        """The only verdict a master reaches: λ has met μ."""
+        self.finished = True
+        status = "optimum" if self.best_model is not None else "unsatisfiable"
+        self.verdict = Verdict(status=status, cost=self.best_cost, model=self.best_model)
+        if self.best_model is None:
+            payload = {"verdict": status, "cost": -1, "model": []}
+        else:
+            payload = {"verdict": status, "cost": self.window.mu, "model": model_literals(self.f, self.best_model)}
+        msg = Message("terminate", "master", payload)
+        for wid in self.worker_ids:
+            if wid in self.registered:
+                self.send(wid, msg)
 
     def _checked_model(self, payload) -> tuple[int, dict[int, bool]] | None:
         """Validate a reported model; None means the report was bogus."""
@@ -101,32 +128,24 @@ class MasterBase:
             return None
         return found, model
 
-    def _broadcast_terminate(self, verdict: Verdict) -> None:
-        model = model_literals(self.f, verdict.model) if verdict.model else []
-        msg = Message(
-            "terminate",
-            "master",
-            {"verdict": verdict.status, "cost": -1 if verdict.cost is None else verdict.cost, "model": model},
-        )
-        for wid in self.worker_ids:
-            if wid in self.registered:
-                self.send(wid, msg)
-
-    def _finish(self, status: str) -> None:
-        if self.finished:
-            return
-        self.verdict = Verdict(status=status, cost=self.best_cost, model=self.best_model)
-        self.finished = True
-        self._broadcast_terminate(self.verdict)
-
     def on_message(self, src: str, msg: Message) -> None:
         if self.finished:
             return
+        p = msg.payload
         if msg.kind == "hello":
             self.registered.add(src)
             self._begin_when_ready()
-            return
-        self._handle(src, msg)
+        elif msg.kind == "report_sat":
+            checked = self._checked_model(p)
+            if checked is not None:
+                self._improve(*checked)
+        elif msg.kind == "report_lower_bound":
+            self._raise_lower(p["lb"])
+            self._schedule()
+        elif msg.kind == "report_done":
+            self._raise_lower(self._conclude(src, p["task"], p["lb"]))
+            self._schedule()
+        # abort/terminate never arrive at the master
 
     def _begin_when_ready(self) -> None:
         if not self._begun and self.worker_ids and self.registered >= set(self.worker_ids):
@@ -145,22 +164,25 @@ class MasterBase:
         else:
             self._begin_when_ready()
 
-    def _reclaim(self, wid: str) -> None:
-        raise NotImplementedError
-
     def _begin(self) -> None:
         raise NotImplementedError
 
-    def _handle(self, src: str, msg: Message) -> None:
+    def _conclude(self, src: str, task: int, lb: int) -> int:
+        """Close `src`'s task; returns the lower bound it may add (0: none)."""
+        raise NotImplementedError
+
+    def _schedule(self) -> None:
+        raise NotImplementedError
+
+    def _reclaim(self, wid: str) -> None:
         raise NotImplementedError
 
 
 class SssMaster(MasterBase):
-    """Search-space splitting: one core-guided worker, the rest test bounds."""
+    """Search-space splitting: one core-guided worker, the rest probe bounds."""
 
     def __init__(self, f, worker_ids, send, seed: int = 0):
         super().__init__(f, worker_ids, send, seed)
-        self.bound_set: BoundSet | None = None
         self.current_task: dict[str, int | None] = {}
         self.linear_workers: list[str] = []
 
@@ -175,107 +197,63 @@ class SssMaster(MasterBase):
     def _begin(self) -> None:
         start = initial_upper_bound(self.f, seed=self.seed)
         if start is None:
-            self._finish("unsatisfiable")
-            return
-        mu, model = start
-        self._improve(mu, model)
-        if mu == 0:
-            self._finish("optimum")
+            self._raise_lower(self.f.num_soft + 1)
+        else:
+            self._improve(*start)
+        if self.finished:
             return
         self._assign_roles()
-        self.bound_set = initial_bounds(mu, max(1, len(self.linear_workers)))
-        self._audit("init")
-        for wid, bound in zip(self.linear_workers, self.bound_set.bounds[1:]):
+        window = self.window
+        window.bounds = initial_bounds(window.mu, max(1, len(self.linear_workers))).bounds
+        for wid, bound in zip(self.linear_workers, window.bounds[1:]):
             self._assign_bound(wid, bound)
         for wid in self.linear_workers:
             if self.current_task.get(wid) is None:
                 self._reassign(wid)
 
-    def _audit(self, event: str) -> None:
-        self.audit.append((event, self.bound_set.lam, self.bound_set.mu))
-
     def _assign_bound(self, wid: str, bound: int) -> None:
-        self.bound_set.owner[bound] = wid
+        self.window.owner[bound] = wid
         self.current_task[wid] = bound
         self.send(wid, Message("assign_bound", "master", {"bound": bound}))
 
     def _reassign(self, wid: str) -> None:
         """Give `wid` a fresh midpoint, or any unowned bound, or let it idle."""
         self.current_task[wid] = None
-        if self.finished:
-            return
-        bound = self.bound_set.next_tentative()
+        window = self.window
+        bound = window.next_tentative()
         if bound is None:
-            candidates = [b for b in self.bound_set.unowned() if self.bound_set.lam <= b <= self.bound_set.mu - 1]
+            candidates = [b for b in window.unowned() if window.lam <= b <= window.mu - 1]
             bound = candidates[0] if candidates else None
         if bound is not None:
             self._assign_bound(wid, bound)
 
-    def _rebalance(self) -> None:
+    def _schedule(self) -> None:
         """Abort and refit every linear worker whose bound left the window."""
         if self.finished:
             return
+        window = self.window
         for wid in self.linear_workers:
             task = self.current_task.get(wid)
-            if task is not None and (task not in self.bound_set.bounds or self.bound_set.owner.get(task) != wid):
+            if task is not None and (task not in window.bounds or window.owner.get(task) != wid):
                 self.send(wid, Message("abort", "master", {}))
                 self._reassign(wid)
             elif task is None:
                 self._reassign(wid)
 
-    def _after_update(self, event: str) -> None:
-        self._audit(event)
-        if self.bound_set.closed:
-            self._finish("optimum")
-            return
-        self._rebalance()
-
-    def _handle(self, src: str, msg: Message) -> None:
-        bs = self.bound_set
-        if msg.kind == "report_unsat":
-            bound = msg.payload["bound"]
-            if self.current_task.get(src) == bound:
-                self.current_task[src] = None
-            if bs.apply_unsat(bound):
-                self._after_update("unsat")
-            else:
-                self._rebalance()
-        elif msg.kind == "report_optimum":
-            task = msg.payload["task"]
-            if msg.payload["hard_unsat"]:
-                # Unreachable when the initial SAT call succeeded; trust it
-                # only as a stale no-op.
-                return
-            checked = self._checked_model(msg.payload) if msg.payload["cost"] >= 0 else None
-            if self.current_task.get(src) == task:
-                self.current_task[src] = None
-                if bs.owner.get(task) == src:
-                    del bs.owner[task]  # bogus reports return the bound to the pool
-            if checked is None:
-                self._rebalance()
-                return
-            found, model = checked
-            improved = self._improve(found, model)
-            updated = bs.apply_sat(found)
-            if task == WHOLE_FORMULA_TASK:
-                # The core-guided worker finished: its cost is the optimum.
-                bs.raise_lower(found)
-            if updated or improved:
-                self._after_update("sat")
-            else:
-                self._rebalance()
-        elif msg.kind == "report_lower_bound":
-            if bs.raise_lower(msg.payload["lb"]):
-                self._after_update("lower_bound")
-        # abort/terminate never arrive at the master
+    def _conclude(self, src: str, task: int, lb: int) -> int:
+        if self.current_task.get(src) != task:
+            return 0  # aborted: the bound left the window, so it proves no more
+        self.current_task[src] = None
+        self.window.owner.pop(task, None)
+        return min(lb, task + 1)
 
     def _reclaim(self, wid: str) -> None:
         task = self.current_task.pop(wid, None)
         if task is not None:
-            self.bound_set.owner.pop(task, None)
+            self.window.owner.pop(task, None)
         if wid in self.linear_workers:
             self.linear_workers.remove(wid)
-        self._rebalance()
+        self._schedule()
 
 
 class GpMaster(MasterBase):
@@ -303,10 +281,6 @@ class GpMaster(MasterBase):
         for wid in self.worker_ids:
             self.send(wid, Message("hello", "master", {"role": self.roles[wid]}))
 
-    @property
-    def dispatch_mu(self) -> int:
-        return self.best_cost if self.best_cost is not None else self.f.num_soft + 1
-
     def _begin(self) -> None:
         # The full linear search starts first so it can improve μ while the
         # master is busy generating the root paths.
@@ -316,7 +290,7 @@ class GpMaster(MasterBase):
         result = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget())
         self.gen_trace = result.trace
         if result.root_conflict:
-            self._finish("unsatisfiable")
+            self._raise_lower(self.f.num_soft + 1)
             return
         if result.paths:
             self.pending = list(result.paths)
@@ -327,7 +301,7 @@ class GpMaster(MasterBase):
         self.generated_paths.extend(self.pending)
         self._sort_pending()
         self.idle = list(self.path_workers)
-        self._dispatch()
+        self._schedule()
 
     def _path_budget(self) -> int:
         return PATHS_PER_WORKER * len(self.path_workers)
@@ -335,13 +309,16 @@ class GpMaster(MasterBase):
     def _sort_pending(self) -> None:
         self.pending.sort(key=lambda p: (p.depth, p.gen_index))
 
+    def _paths_open(self) -> bool:
+        return bool(self.pending) or any(task != WHOLE_FORMULA_TASK for task in self.in_flight)
+
     def _dispatch_to(self, wid: str, path: GuidingPath) -> None:
-        mu = self.dispatch_mu
+        mu = self.window.mu
         self.in_flight[path.gen_index] = (path, mu, self.assign_seq, wid)
         self.assign_seq += 1
         self.send(wid, Message("assign_path", "master", {"task": path.gen_index, "path": list(path.decisions), "mu": mu}))
 
-    def _dispatch(self) -> None:
+    def _schedule(self) -> None:
         if self.finished:
             return
         while self.idle and self.pending:
@@ -349,8 +326,10 @@ class GpMaster(MasterBase):
             self._dispatch_to(wid, self.pending.pop(0))
         if self.idle and not self.pending and self.in_flight:
             self._resplit()
-        if not self.pending and not self.in_flight:
-            self._finish("optimum" if self.best_model is not None else "unsatisfiable")
+        if not self._paths_open():
+            # The paths partition the search space and none holds a model
+            # cheaper than μ.
+            self._raise_lower(self.window.mu)
 
     def _resplit(self) -> None:
         """Split the longest-running in-flight path into sub-paths."""
@@ -371,61 +350,23 @@ class GpMaster(MasterBase):
             self.pending.extend(result.paths)
             self.generated_paths.extend(result.paths)
             self._sort_pending()
-            self._dispatch()
+            self._schedule()
 
-    def _conclude(self, task: int, src: str) -> None:
-        entry = self.in_flight.pop(task, None)
-        if entry is not None:
-            # Sub-paths of a resolved parent are redundant.
-            self.pending = [p for p in self.pending if p.parent_index != task]
+    def _conclude(self, src: str, task: int, lb: int) -> int:
         if src in self.path_workers and src not in self.idle:
             self.idle.append(src)
-
-    def _handle(self, src: str, msg: Message) -> None:
-        if msg.kind == "report_sat":
-            checked = self._checked_model(msg.payload)
-            if checked is not None:
-                found, model = checked
-                if self._improve(found, model):
-                    self.audit.append(("sat", 0, found))
-                if found == 0:
-                    self._finish("optimum")
-            return
-        if msg.kind != "report_optimum":
-            return
-        task = msg.payload["task"]
         entry = self.in_flight.get(task)
-        mu_sent = entry[1] if entry is not None else None
-        if msg.payload["hard_unsat"]:
-            # Only produced by an unrestricted task (no path, no bound), so
-            # the hard clauses themselves are unsatisfiable.
-            self._conclude(task, src)
-            self._finish("unsatisfiable")
-            return
-        found = None
-        if msg.payload["cost"] >= 0:
-            checked = self._checked_model(msg.payload)
-            if checked is not None:
-                found, model = checked
-                if self._improve(found, model):
-                    self.audit.append(("sat", 0, found))
-        self._conclude(task, src)
-        if msg.payload["proof_independent"]:
-            proven = found if found is not None else mu_sent
-            if proven is not None and self.best_cost is not None and proven >= self.best_cost:
-                self.pending_at_termination = len(self.pending)
-                self.terminated_early = bool(self.pending or self.in_flight)
-                self._finish("optimum")
-                return
-            if proven is not None and self.best_cost is None:
-                # proof-independent UNSAT with no model anywhere: nothing
-                # satisfies the hard clauses under any cost, i.e. UNSAT.
-                self._finish("unsatisfiable")
-                return
-        if self.best_cost == 0:
-            self._finish("optimum")
-            return
-        self._dispatch()
+        if entry is None or entry[3] != src:
+            return 0
+        del self.in_flight[task]
+        # Sub-paths of a concluded parent are redundant.
+        self.pending = [p for p in self.pending if p.parent_index != task]
+        return min(lb, entry[1])
+
+    def _finish(self) -> None:
+        self.pending_at_termination = len(self.pending)
+        self.terminated_early = self._paths_open()
+        super()._finish()
 
     def _reclaim(self, wid: str) -> None:
         for task, (path, _mu, _seq, owner) in list(self.in_flight.items()):
@@ -438,7 +379,7 @@ class GpMaster(MasterBase):
             self.path_workers.remove(wid)
         if wid in self.idle:
             self.idle.remove(wid)
-        self._dispatch()
+        self._schedule()
 
 
 # --------------------------------------------------------------------- worker
@@ -478,34 +419,29 @@ class WorkerNode:
         elif msg.kind == "terminate":
             self.done = True
 
+    def _report_sat(self, found: int, model: dict[int, bool]) -> None:
+        self.send(Message("report_sat", self.wid, {"cost": found, "model": model_literals(self.f, model)}))
+
+    def _report_lower_bound(self, lb: int) -> None:
+        self.send(Message("report_lower_bound", self.wid, {"lb": lb}))
+
+    def _report_done(self, task: int, lb: int) -> None:
+        self.send(Message("report_done", self.wid, {"task": task, "lb": lb}))
+
     # ------------------------------------------------------------ sss roles
 
     def _run_msu3(self) -> None:
-        def report(lam):
-            self.send(Message("report_lower_bound", self.wid, {"lb": lam}))
-
-        outcome = msu3(self.f, on_lower_bound=report, seed=self.seed, deadline=self.deadline, clock=self.clock)
+        outcome = msu3(
+            self.f, on_lower_bound=self._report_lower_bound, seed=self.seed, deadline=self.deadline, clock=self.clock,
+        )
         if isinstance(outcome, Optimum):
-            self.send(Message(
-                "report_optimum",
-                self.wid,
-                {
-                    "task": WHOLE_FORMULA_TASK,
-                    "cost": outcome.cost,
-                    "model": model_literals(self.f, outcome.model),
-                    "proof_independent": True,
-                    "hard_unsat": False,
-                },
-            ))
+            self._report_sat(outcome.cost, outcome.model)
+            self._report_lower_bound(outcome.cost)
         else:
-            self.send(Message(
-                "report_optimum",
-                self.wid,
-                {"task": WHOLE_FORMULA_TASK, "cost": -1, "model": [], "proof_independent": False, "hard_unsat": True},
-            ))
+            self._report_lower_bound(self.f.num_soft + 1)
 
     def _test_bound(self, bound: int) -> None:
-        """One SAT call at Σ r <= bound, reporting either direction."""
+        """One SAT call at Σ r <= bound: a model, or the proof λ > bound."""
         if self._totalizer is None:
             engine = Engine(self.rf.clauses, num_vars=self.rf.num_vars, seed=self.seed)
             self._totalizer = Totalizer(engine, self.rf.relax_vars)
@@ -513,50 +449,29 @@ class WorkerNode:
         result = totalizer.engine.solve(totalizer.at_most(bound), deadline=self.deadline, clock=self.clock)
         if isinstance(result, Sat):
             model = restrict_model(self.f, result.model)
-            found = cost(self.f, model)
-            self.send(Message(
-                "report_optimum",
-                self.wid,
-                {
-                    "task": bound,
-                    "cost": found,
-                    "model": model_literals(self.f, model),
-                    "proof_independent": False,
-                    "hard_unsat": False,
-                },
-            ))
+            self._report_sat(cost(self.f, model), model)
+            self._report_done(bound, 0)
         else:
-            self.send(Message("report_unsat", self.wid, {"bound": bound}))
+            self._report_done(bound, bound + 1)
 
     # ------------------------------------------------------------- gp roles
 
     def _solve_path(self, task: int, path, mu: int) -> None:
-        def improved(found, model):
-            self.send(Message("report_sat", self.wid, {"cost": found, "model": model_literals(self.f, model)}))
-
-        outcome = gp_worker(
-            path, mu, self.rf, on_improve=improved, seed=self.seed * 1000003 + (task + 2),
-            deadline=self.deadline, clock=self.clock,
+        """Linear search under the path below μ; every model is reported."""
+        outcome = linear_su(
+            self.rf, ub_init=min(mu - 1, len(self.rf.relax_vars)), path=path, on_improve=self._report_sat,
+            seed=self.seed * 1000003 + (task + 2), deadline=self.deadline, clock=self.clock,
         )
+        # A proof holds globally only when it used no path literal: an empty
+        # path, a final core that avoided the path, or hard clauses that are
+        # unsatisfiable by themselves.
         if isinstance(outcome, Optimum):
-            payload = {
-                "task": task,
-                "cost": outcome.cost,
-                "model": model_literals(self.f, outcome.model),
-                "proof_independent": not path,  # empty path: any core avoids it
-                "hard_unsat": False,
-            }
-        elif isinstance(outcome, NoImprovement):
-            payload = {
-                "task": task,
-                "cost": -1,
-                "model": [],
-                "proof_independent": outcome.proof_independent,
-                "hard_unsat": False,
-            }
+            lb = 0 if path else outcome.cost
+        elif isinstance(outcome, HardUnsat) or outcome.proof_independent:
+            lb = mu
         else:
-            payload = {"task": task, "cost": -1, "model": [], "proof_independent": False, "hard_unsat": True}
-        self.send(Message("report_optimum", self.wid, payload))
+            lb = 0
+        self._report_done(task, lb)
 
 
 # ----------------------------------------------------------------- simulation

@@ -57,6 +57,8 @@ def linear_su(
     n = len(rf.relax_vars)
     if ub_init is None:
         ub_init = n
+    if ub_init < 0:
+        raise ValueError(f"ub_init {ub_init} is negative")
     if ub_init > n:
         raise ValueError(f"ub_init {ub_init} exceeds soft clause count {n}")
     path = list(path)

@@ -21,15 +21,14 @@ class MessageError(ValueError):
 
 
 # kind -> (required payload fields, field type)
-# types: "int", "lits" (comma-separated literals), "str", "flag" (0/1)
+# types: "int", "lits" (comma-separated literals), "str"
 SCHEMA: dict[str, dict[str, str]] = {
     "hello": {"role": "str"},
     "assign_bound": {"bound": "int"},
     "assign_path": {"task": "int", "path": "lits", "mu": "int"},
     "report_sat": {"cost": "int", "model": "lits"},
-    "report_unsat": {"bound": "int"},
     "report_lower_bound": {"lb": "int"},
-    "report_optimum": {"task": "int", "cost": "int", "model": "lits", "proof_independent": "flag", "hard_unsat": "flag"},
+    "report_done": {"task": "int", "lb": "int"},
     "abort": {},
     "terminate": {"verdict": "str", "cost": "int", "model": "lits"},
 }
@@ -56,8 +55,6 @@ class Message:
 def _encode_value(ftype: str, value) -> str:
     if ftype == "int":
         return str(int(value))
-    if ftype == "flag":
-        return "1" if value else "0"
     if ftype == "lits":
         return ",".join(str(int(l)) for l in value)
     return str(value)
@@ -66,10 +63,6 @@ def _encode_value(ftype: str, value) -> str:
 def _decode_value(ftype: str, text: str):
     if ftype == "int":
         return int(text)
-    if ftype == "flag":
-        if text not in ("0", "1"):
-            raise ValueError(text)
-        return text == "1"
     if ftype == "lits":
         if not text:
             return []

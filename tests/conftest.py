@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
+from distmaxsat.engine import Engine
 from distmaxsat.formula import clause_satisfied, make_formula
 
 
@@ -77,6 +79,21 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, max_len: int
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def learned(monkeypatch):
+    """Every clause each engine learns during the test, in learning order:
+    a mapping engine -> list of literal tuples."""
+    log = defaultdict(list)
+    record = Engine._record_learned
+
+    def spy(engine, learnt, backtrack):
+        log[engine].append(tuple(learnt))
+        return record(engine, learnt, backtrack)
+
+    monkeypatch.setattr(Engine, "_record_learned", spy)
+    return log
 
 
 def pigeonhole(blocks: int, holes: int = 4):

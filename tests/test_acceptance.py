@@ -25,7 +25,7 @@ from distmaxsat.lookahead import (
     replay_theta_trace,
 )
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random, hard_models
-from distmaxsat.orchestration import gp_worker, run_sim
+from distmaxsat.orchestration import run_sim
 from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_su, msu3
 
 
@@ -220,8 +220,9 @@ def test_criterion_6_early_termination():
     f = make_formula(10, hard, soft)
     expected = brute_force(f)
     rf = relax(f)
+    mu = 2
     for path in ([3], [3, -4], [5, 6, 7], [-3, 4, -5, 6]):
-        outcome = gp_worker(path, mu=2, rf=rf)
+        outcome = linear_su(rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path)
         assert isinstance(outcome, NoImprovement)
         assert outcome.proof_independent is True
     for seed in range(5):
@@ -268,7 +269,7 @@ def test_criterion_8_determinism_and_scaling():
     report(8, "determinism and scaling smoke test (50 instances x 24 configs)")
 
 
-def test_criterion_9_sat_engine_conformance():
+def test_criterion_9_sat_engine_conformance(learned):
     start = time.monotonic()
     rng = random.Random(0x5A7E)
     learned_checked = 0
@@ -300,9 +301,9 @@ def test_criterion_9_sat_engine_conformance():
             recheck = Engine(clauses, num_vars=num_vars, seed=0)
             assert isinstance(recheck.solve(sorted(result.core)), Unsat), case
         if num_vars <= 12:
-            for learned in engine.learned[:20]:
+            for clause in learned[engine][:20]:
                 neg = make_formula(
-                    num_vars, [list(c) for c in clauses] + [[-l] for l in learned], []
+                    num_vars, [list(c) for c in clauses] + [[-l] for l in clause], []
                 )
                 assert brute_force(neg) == HARD_UNSAT, case
                 learned_checked += 1

@@ -198,7 +198,7 @@ def test_analyze_requires_live_conflict():
         e.analyze_and_learn(Conflict(clause=(1,), level=1, trail=(1,)))
 
 
-def test_learned_clauses_implied_by_originals():
+def test_learned_clauses_implied_by_originals(learned):
     rng = random.Random(47)
     checked = 0
     for _ in range(80):
@@ -206,22 +206,22 @@ def test_learned_clauses_implied_by_originals():
         clauses = random_cnf(rng, num_vars, rng.randint(num_vars, 4 * num_vars))
         e = Engine(clauses, num_vars=num_vars, seed=1)
         e.solve()
-        for learned in e.learned:
-            # original ∧ ¬learned must be unsatisfiable
-            negation = [(-l,) for l in learned]
+        for clause in learned[e]:
+            # original ∧ ¬clause must be unsatisfiable
+            negation = [(-l,) for l in clause]
             assert brute_force_sat(list(clauses) + negation, num_vars) is None
             checked += 1
     assert checked > 10
 
 
-def test_learning_preserves_satisfiability():
+def test_learning_preserves_satisfiability(learned):
     rng = random.Random(53)
     for _ in range(40):
         num_vars = rng.randint(3, 8)
         clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
         e = Engine(clauses, num_vars=num_vars)
         verdict = isinstance(e.solve(), Sat)
-        with_learned = clauses + [list(c) for c in e.learned]
+        with_learned = clauses + [list(c) for c in learned[e]]
         assert (brute_force_sat(with_learned, num_vars) is not None) == verdict
 
 
@@ -232,14 +232,14 @@ def watch_positions(engine, clause):
 def test_fresh_clause_watched_on_two_literals():
     e = Engine([(1, 2, 3)], num_vars=3)
     clause = e.clauses[0]
-    watching = [l for l in (1, 2, 3) if clause in e.watched_clauses(l)]
+    watching = [l for l in (1, 2, 3) if clause in e.watches[l]]
     assert len(watching) == 2
 
 
 def test_watched_clauses_absent_literal():
     e = Engine([(1, 2)], num_vars=3)
-    assert e.watched_clauses(3) == []
-    assert e.watched_clauses(-3) == []
+    assert e.watches[3] == []
+    assert e.watches[-3] == []
 
 
 def check_lazy_watch_invariant(engine):
@@ -313,7 +313,7 @@ def test_satisfied_clause_keeps_its_watch():
     assert clause not in e.watches[3]
 
 
-def test_deterministic_given_seed():
+def test_deterministic_given_seed(learned):
     rng = random.Random(71)
     clauses = random_cnf(rng, 12, 40)
     a = Engine(clauses, num_vars=12, seed=5)
@@ -322,7 +322,7 @@ def test_deterministic_given_seed():
     assert type(ra) is type(rb)
     if isinstance(ra, Sat):
         assert ra.model == rb.model
-    assert a.learned == b.learned
+    assert learned[a] == learned[b]
 
 
 def test_cancel_until_saves_last_phase():

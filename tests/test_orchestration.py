@@ -9,11 +9,10 @@ from distmaxsat.orchestration import (
     GpMaster,
     SssMaster,
     WorkerNode,
-    gp_worker,
     initial_upper_bound,
     run_sim,
 )
-from distmaxsat.sequential import NoImprovement, Optimum
+from distmaxsat.sequential import NoImprovement, Optimum, linear_su
 from distmaxsat.transport import Message, SimBus
 
 from conftest import pigeonhole
@@ -42,9 +41,14 @@ def test_initial_upper_bound_at_least_optimum():
             assert start is not None and start[0] >= opt
 
 
+def solve_path(path, mu, rf):
+    """What a gp path worker runs for `assign_path(path, mu)`."""
+    return linear_su(rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path)
+
+
 def test_gp_worker_path_contradicting_hard_clauses():
     f = make_formula(2, [[1]], [[2]])
-    outcome = gp_worker([-1], mu=1, rf=relax(f))
+    outcome = solve_path([-1], mu=1, rf=relax(f))
     assert isinstance(outcome, NoImprovement)
     assert outcome.proof_independent is False  # core must use the path literal
 
@@ -52,7 +56,7 @@ def test_gp_worker_path_contradicting_hard_clauses():
 def test_gp_worker_path_pinning_better_model():
     # Path forces the zero-cost corner; mu=2 allows improvement to 0.
     f = make_formula(2, [], [[1], [2]])
-    outcome = gp_worker([1, 2], mu=2, rf=relax(f))
+    outcome = solve_path([1, 2], mu=2, rf=relax(f))
     assert isinstance(outcome, Optimum)
     assert outcome.cost == 0
 
@@ -60,7 +64,7 @@ def test_gp_worker_path_pinning_better_model():
 def test_gp_worker_requires_positive_mu():
     f = make_formula(1, [], [[1]])
     with pytest.raises(ValueError):
-        gp_worker([], mu=0, rf=relax(f))
+        solve_path([], mu=0, rf=relax(f))
 
 
 def sim_and_check(f, algo, workers, seed):
@@ -151,7 +155,7 @@ def test_path_worker_core_excludes_path_literals():
     f = early_termination_formula()
     rf = relax(f)
     for path in ([3], [3, -4], [5, 6, 7]):
-        outcome = gp_worker(path, mu=2, rf=rf)
+        outcome = solve_path(path, mu=2, rf=rf)
         assert isinstance(outcome, NoImprovement)
         assert outcome.proof_independent is True
 
@@ -217,12 +221,14 @@ def test_sim_deadline_keeps_models_reported_before_it(monkeypatch):
     assert cost(f, outcome.verdict.model) == reported[0]
 
 
-def test_sss_audit_log_progression():
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+def test_audit_log_progression(algo):
+    """λ only rises, μ only falls, and they meet at the optimum."""
     f = gen_random(123, num_vars=9, num_hard=6, num_soft=10, clause_len=3)
     opt = brute_force(f)
     if opt == HARD_UNSAT:
         pytest.skip("instance not suitable")
-    outcome = run_sim(f, "sss", num_workers=4, seed=0)
+    outcome = run_sim(f, algo, num_workers=4, seed=0)
     lams = [lam for _, lam, _ in outcome.audit]
     mus = [mu for _, _, mu in outcome.audit]
     assert lams == sorted(lams)
@@ -353,3 +359,92 @@ def test_worker_ignores_abort_and_terminate_cleanly():
     w.on_message(Message("terminate", "master", {"verdict": "unknown", "cost": -1, "model": []}))
     assert w.done
     assert sent == []
+
+
+WORKER_REPORTS = {"hello", "report_sat", "report_lower_bound", "report_done"}
+
+
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_send_models_proofs_and_one_done_per_task(monkeypatch, algo, workers):
+    """Workers send only hello and the three report kinds, and answer every
+    assign_bound/assign_path they handle with exactly one report_done that
+    names its task, in order."""
+    sent = []
+    send = SimBus.send
+
+    def recorded(self, src, dst, msg):
+        sent.append((src, dst, msg))
+        return send(self, src, dst, msg)
+
+    handled = []
+    on_message = WorkerNode.on_message
+
+    def traced(node, msg):
+        handled.append((node.wid, msg))
+        return on_message(node, msg)
+
+    monkeypatch.setattr(SimBus, "send", recorded)
+    monkeypatch.setattr(WorkerNode, "on_message", traced)
+    instances = [gen_random(300 + i, num_vars=10, num_hard=8, num_soft=12, clause_len=3) for i in range(5)]
+    dones = 0
+    for seed, f in enumerate(instances + [pigeonhole(2)]):
+        sent.clear()
+        handled.clear()
+        outcome = run_sim(f, algo, num_workers=workers, seed=seed)
+        assert outcome.verdict.status == "optimum"
+        assert outcome.verdict.cost == (2 if f.num_vars == 40 else brute_force(f))
+        assert {m.kind for _src, dst, m in sent if dst == "master"} <= WORKER_REPORTS
+        for wid in (f"w{i}" for i in range(1, workers + 1)):
+            tasks = [
+                m.payload["bound"] if m.kind == "assign_bound" else m.payload["task"]
+                for w, m in handled if w == wid and m.kind in ("assign_bound", "assign_path")
+            ]
+            done = [m.payload["task"] for src, _dst, m in sent if src == wid and m.kind == "report_done"]
+            assert done == tasks, (seed, wid)
+            dones += len(done)
+    assert dones > 0
+
+
+def begun_master(master_cls, f, ids):
+    """A master that has seen every hello; returns it and what it sent."""
+    sent = []
+    master = master_cls(f, ids, send=lambda dst, m: sent.append((dst, m)), seed=0)
+    for wid in ids:
+        master.on_message(wid, Message("hello", wid, {"role": "worker"}))
+    return master, sent
+
+
+def test_sss_caps_a_probe_lower_bound_at_bound_plus_one():
+    f = pigeonhole(2)
+    master, sent = begun_master(SssMaster, f, ["w1", "w2", "w3"])
+    mu = master.window.mu
+    probes = {dst: m.payload["bound"] for dst, m in sent if m.kind == "assign_bound"}
+    assert mu >= 3 and probes["w2"] + 1 < mu
+    # A live probe claiming far more than it can prove lifts λ to bound+1 only.
+    master.on_message("w2", Message("report_done", "w2", {"task": probes["w2"], "lb": mu + 5}))
+    assert master.window.lam == probes["w2"] + 1
+    assert not master.finished
+    # A report naming a bound the sender does not hold adds nothing.
+    master.on_message("w2", Message("report_done", "w2", {"task": probes["w3"], "lb": mu + 5}))
+    assert master.window.lam == probes["w2"] + 1
+    assert not master.finished
+
+
+def test_gp_ignores_stale_done_and_caps_live_lower_bound_at_mu_sent():
+    f = pigeonhole(2)
+    master, sent = begun_master(GpMaster, f, ["w1", "w2", "w3"])
+    paths = {dst: m.payload for dst, m in sent if m.kind == "assign_path"}
+    w2_task, w3_task = paths["w2"]["task"], paths["w3"]["task"]
+    huge = 10 * f.num_soft
+    # Another worker's task, then a task its owner already concluded: stale.
+    master.on_message("w3", Message("report_done", "w3", {"task": w2_task, "lb": huge}))
+    master.on_message("w2", Message("report_done", "w2", {"task": w2_task, "lb": 0}))
+    master.on_message("w2", Message("report_done", "w2", {"task": w2_task, "lb": huge}))
+    assert master.window.lam == 0
+    assert not master.finished
+    # A live task proves at most the μ it was sent.  That μ is never below
+    # the current one, so the claim closes the window, at λ = μ sent.
+    master.on_message("w3", Message("report_done", "w3", {"task": w3_task, "lb": huge}))
+    assert master.window.lam == paths["w3"]["mu"]
+    assert master.finished and master.verdict.status == "unsatisfiable"

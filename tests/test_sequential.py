@@ -58,6 +58,12 @@ def test_linear_su_rejects_oversized_bound():
         linear_su(relax(f), ub_init=2)
 
 
+def test_linear_su_rejects_negative_bound():
+    f = make_formula(1, [], [[1]])
+    with pytest.raises(ValueError, match="ub_init -1 is negative"):
+        linear_su(relax(f), ub_init=-1)
+
+
 def test_msu3_sat_first_call():
     f = make_formula(2, [[1, 2]], [[1], [2]])
     reports = []

@@ -44,8 +44,6 @@ def random_message(rng: random.Random) -> Message:
     for name, ftype in SCHEMA[kind].items():
         if ftype == "int":
             payload[name] = rng.randint(-3, 99)
-        elif ftype == "flag":
-            payload[name] = rng.random() < 0.5
         elif ftype == "lits":
             payload[name] = [
                 rng.choice([1, -1]) * rng.randint(1, 30) for _ in range(rng.randint(0, 8))
@@ -147,7 +145,7 @@ def test_socket_channel_roundtrip():
     client = connect("127.0.0.1", port)
     sent = [
         Message("report_sat", "w1", {"cost": 2, "model": [1, -2, 3]}),
-        Message("report_unsat", "w1", {"bound": 4}),
+        Message("report_done", "w1", {"task": 4, "lb": 5}),
     ]
     for m in sent:
         client.send(m)
