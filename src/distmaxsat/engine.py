@@ -426,9 +426,11 @@ class Engine:
             seen.discard(v)
         return frozenset(core)
 
-    def solve(self, assumptions=(), deadline=None, clock=None):
+    def solve(self, assumptions=(), deadline=None, clock=None, model_vars: int | None = None):
         """Solve under assumptions; Sat(total model) or Unsat(core ⊆ assumptions).
 
+        The model covers variables 1..`model_vars` (every variable when None),
+        so callers that read only their own variables skip the auxiliary ones.
         Raises TimeoutError once `clock()` is past `deadline`, checked on entry
         and at every restart.
         """
@@ -478,7 +480,8 @@ class Engine:
                 continue
             lit = self._pick_branch()
             if lit == 0:
-                model = {v: assigns[v] > 0 for v in range(1, self.num_vars + 1)}
+                last = self.num_vars if model_vars is None else model_vars
+                model = {v: assigns[v] > 0 for v in range(1, last + 1)}
                 self._cancel_until(0)
                 return Sat(model)
             self._new_level()

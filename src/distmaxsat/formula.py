@@ -171,7 +171,3 @@ def model_literals(f: WcnfFormula, assignment: dict[int, bool]) -> list[int]:
     """Assignment as signed literals over the original variables (for "v" lines)."""
     return [v if assignment[v] else -v for v in range(1, f.num_vars + 1)]
 
-
-def restrict_model(f: WcnfFormula, assignment: dict[int, bool]) -> dict[int, bool]:
-    """An engine model cut to the formula's own variables (no relaxation or totalizer ones)."""
-    return {v: assignment[v] for v in range(1, f.num_vars + 1)}

@@ -1,10 +1,13 @@
 """Ground-truth brute-force MaxSAT solving and random instance generation.
 
-The brute-force solver enumerates every total assignment (no pruning), so it
-is trivially auditable; numpy only vectorizes the per-assignment clause
-checks.  Everything else in the package is measured against this module.
-numpy is imported only when an enumeration runs, so the solver itself never
-loads it.
+The brute-force solver enumerates every total assignment, with no pruning,
+so it is trivially auditable.  It works bit-parallel on Python ints: bit `a`
+of a variable's column is that variable's value in assignment `a` (bit v-1 of
+`a` is variable v).  A clause is then the OR of its literals' columns, the
+hard-clause check is an AND, and soft violations are summed in a bit-sliced
+counter, one int per bit of the count.  Everything else in the package is
+measured against this module; it imports nothing outside the standard
+library.
 """
 
 from __future__ import annotations
@@ -18,46 +21,70 @@ HARD_UNSAT = "hard-unsat"
 MAX_ORACLE_VARS = 24
 
 
-def _satisfied_mask(clause: tuple[int, ...], assignments):
-    """Boolean vector over all assignments: does this clause hold?"""
-    sat = None
-    for lit in clause:
-        bit = ((assignments >> (abs(lit) - 1)) & 1).astype(bool)
-        holds = bit if lit > 0 else ~bit
-        sat = holds if sat is None else sat | holds
-    return sat
+def _columns(num_vars: int) -> tuple[int, list[int]]:
+    """(all-ones over the 2**num_vars assignments, [0, column of var 1, ...])."""
+    n = 1 << num_vars
+    full = (1 << n) - 1
+    columns = [0]
+    for i in range(num_vars):
+        half = 1 << i
+        col = ((1 << half) - 1) << half  # one period: 2**i zeros, then 2**i ones
+        width = 2 * half
+        while width < n:
+            col |= col << width
+            width *= 2
+        columns.append(col)
+    return full, columns
 
 
-def _hard_ok(f: WcnfFormula):
-    """Every assignment as a bitmask (bit v-1 = var v), and which satisfy φH."""
-    import numpy as np
-
+def _enumeration(f: WcnfFormula):
+    """(all-ones, clause -> satisfied-bits function, bits of assignments satisfying φH)."""
     if f.num_vars > MAX_ORACLE_VARS:
         raise ValueError(f"too many variables for enumeration: {f.num_vars}")
-    assignments = np.arange(1 << f.num_vars, dtype=np.int64)
-    hard_ok = np.ones(assignments.shape, dtype=bool)
+    full, columns = _columns(f.num_vars)
+
+    def satisfied(clause) -> int:
+        bits = 0
+        for lit in clause:
+            bits |= columns[lit] if lit > 0 else full ^ columns[-lit]
+        return bits
+
+    hard_ok = full
     for clause in f.hard:
-        hard_ok &= _satisfied_mask(clause, assignments)
-    return assignments, hard_ok
+        hard_ok &= satisfied(clause)
+    return full, satisfied, hard_ok
 
 
 def brute_force(f: WcnfFormula):
     """Exact optimum cost of `f`, or HARD_UNSAT if no assignment satisfies φH."""
-    import numpy as np
-
-    assignments, hard_ok = _hard_ok(f)
-    if not hard_ok.any():
+    full, satisfied, hard_ok = _enumeration(f)
+    if not hard_ok:
         return HARD_UNSAT
-    violations = np.zeros(assignments.shape, dtype=np.int32)
+    planes: list[int] = []  # planes[j]: bit j of each assignment's violation count
     for clause in f.soft:
-        violations += ~_satisfied_mask(clause, assignments)
-    return int(violations[hard_ok].min())
+        carry = full ^ satisfied(clause)
+        for j in range(len(planes)):
+            if not carry:
+                break
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+        if carry:
+            planes.append(carry)
+    # The least count among hard-satisfying assignments, top bit first: keep
+    # the candidates with a 0 there whenever any exist.
+    best, candidates = 0, hard_ok
+    for j in range(len(planes) - 1, -1, -1):
+        zero = candidates & ~planes[j]
+        if zero:
+            candidates = zero
+        else:
+            best |= 1 << j
+    return best
 
 
 def hard_models(f: WcnfFormula) -> list[int]:
-    """All assignments (as bitmasks, bit v-1 = var v) satisfying every hard clause."""
-    assignments, hard_ok = _hard_ok(f)
-    return [int(m) for m in assignments[hard_ok]]
+    """All assignments (as bitmasks, bit v-1 = var v) satisfying every hard clause, ascending."""
+    _full, _satisfied, hard_ok = _enumeration(f)
+    return [a for a, bit in enumerate(reversed(bin(hard_ok)[2:])) if bit == "1"]
 
 
 def _random_clause(rng: random.Random, num_vars: int, length: int) -> list[int]:

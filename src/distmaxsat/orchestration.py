@@ -15,10 +15,13 @@ proven lower bound.  Workers report two kinds of fact, models and proofs:
   bound+1 for a bound probe and at the μ it sent for a path, and a stale task
   (one the master no longer holds for that worker) adds nothing.
 
-The master raises λ itself on its own proofs: to `num_soft + 1` when the hard
-clauses are unsatisfiable, and to μ once every guiding path has concluded,
-because the paths partition the search space.  The run ends in one place, as
-soon as λ ≥ μ: "optimum" when a model is held, "unsatisfiable" when none is.
+Both masters start the same way: one SAT call on the hard clauses
+(`initial_upper_bound`) gives the first model, and so the first μ, before any
+task is sent.  The master raises λ itself on its own proofs: to
+`num_soft + 1` when the hard clauses are unsatisfiable, and to μ once every
+guiding path has concluded, because the paths partition the search space.
+The run ends in one place, as soon as λ ≥ μ: "optimum" when a model is held,
+"unsatisfiable" when none is.
 
 Models only lower μ and proofs only raise λ, so a report that arrives after
 the master moved on still applies monotonically.  The whole-formula task of
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 from .bounds import BoundSet, initial_bounds
 from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
-from .formula import WcnfFormula, cost, model_literals, relax, restrict_model
+from .formula import WcnfFormula, cost, model_literals, relax
 from .lookahead import RESPLIT_CUTOFF, ROOT_CUTOFF, GuidingPath, PathGenerator
-from .sequential import HardUnsat, Optimum, linear_su, msu3
+from .sequential import HardUnsat, Optimum, linear_search, msu3
 from .transport import Message
 
 WHOLE_FORMULA_TASK = -1
@@ -56,8 +59,7 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
     result = engine.solve()
     if isinstance(result, Unsat):
         return None
-    model = restrict_model(f, result.model)
-    return cost(f, model), model
+    return cost(f, result.model), result.model
 
 
 # --------------------------------------------------------------------- master
@@ -150,7 +152,15 @@ class MasterBase:
     def _begin_when_ready(self) -> None:
         if not self._begun and self.worker_ids and self.registered >= set(self.worker_ids):
             self._begun = True
-            self._begin()
+            # One SAT call on the hard clauses: the first model and μ, or the
+            # proof that there is none, before any task is sent.
+            start = initial_upper_bound(self.f, seed=self.seed)
+            if start is None:
+                self._raise_lower(self.f.num_soft + 1)
+            else:
+                self._improve(*start)
+            if not self.finished:
+                self._begin()
 
     def on_worker_lost(self, wid: str) -> None:
         """Drop a worker whose link broke.  Before the run begins the roster
@@ -165,6 +175,7 @@ class MasterBase:
             self._begin_when_ready()
 
     def _begin(self) -> None:
+        """Start the strategy's own search, once a model is held and μ is its cost."""
         raise NotImplementedError
 
     def _conclude(self, src: str, task: int, lb: int) -> int:
@@ -195,13 +206,6 @@ class SssMaster(MasterBase):
             self.send(wid, Message("hello", "master", {"role": self.roles[wid]}))
 
     def _begin(self) -> None:
-        start = initial_upper_bound(self.f, seed=self.seed)
-        if start is None:
-            self._raise_lower(self.f.num_soft + 1)
-        else:
-            self._improve(*start)
-        if self.finished:
-            return
         self._assign_roles()
         window = self.window
         window.bounds = initial_bounds(window.mu, max(1, len(self.linear_workers))).bounds
@@ -400,7 +404,7 @@ class WorkerNode:
         self.role: str | None = None
         self.rf = relax(f)
         self.done = False
-        self._totalizer = None  # persistent engine and totalizer for bound testing
+        self._totalizer: Totalizer | None = None  # built on first use, kept for the run
 
     def hello(self) -> None:
         self.send(Message("hello", self.wid, {"role": "worker"}))
@@ -440,16 +444,23 @@ class WorkerNode:
         else:
             self._report_lower_bound(self.f.num_soft + 1)
 
-    def _test_bound(self, bound: int) -> None:
-        """One SAT call at Σ r <= bound: a model, or the proof λ > bound."""
+    def _relaxed_totalizer(self) -> Totalizer:
+        """The worker's one engine over the relaxed formula and its totalizer
+        over every relaxation variable, shared by all its bound probes and
+        path tasks, so learned clauses and totalizer outputs carry over."""
         if self._totalizer is None:
             engine = Engine(self.rf.clauses, num_vars=self.rf.num_vars, seed=self.seed)
             self._totalizer = Totalizer(engine, self.rf.relax_vars)
-        totalizer = self._totalizer
-        result = totalizer.engine.solve(totalizer.at_most(bound), deadline=self.deadline, clock=self.clock)
+        return self._totalizer
+
+    def _test_bound(self, bound: int) -> None:
+        """One SAT call at Σ r <= bound: a model, or the proof λ > bound."""
+        totalizer = self._relaxed_totalizer()
+        result = totalizer.engine.solve(
+            totalizer.at_most(bound), deadline=self.deadline, clock=self.clock, model_vars=self.f.num_vars,
+        )
         if isinstance(result, Sat):
-            model = restrict_model(self.f, result.model)
-            self._report_sat(cost(self.f, model), model)
+            self._report_sat(cost(self.f, result.model), result.model)
             self._report_done(bound, 0)
         else:
             self._report_done(bound, bound + 1)
@@ -458,9 +469,9 @@ class WorkerNode:
 
     def _solve_path(self, task: int, path, mu: int) -> None:
         """Linear search under the path below μ; every model is reported."""
-        outcome = linear_su(
-            self.rf, ub_init=min(mu - 1, len(self.rf.relax_vars)), path=path, on_improve=self._report_sat,
-            seed=self.seed * 1000003 + (task + 2), deadline=self.deadline, clock=self.clock,
+        outcome = linear_search(
+            self._relaxed_totalizer(), self.f, min(mu - 1, self.f.num_soft), path=path,
+            on_improve=self._report_sat, deadline=self.deadline, clock=self.clock,
         )
         # A proof holds globally only when it used no path literal: an empty
         # path, a final core that avoided the path, or hard clauses that are

@@ -2,8 +2,10 @@
 
 Both are used standalone and as worker payloads.  `linear_su` drives an upper
 bound downward from satisfying assignments; `msu3` drives a lower bound upward
-from unsat cores.  Each invocation owns its engine, so concurrent invocations
-in separate workers never share state.
+from unsat cores.  Each of the two owns its engine, so concurrent invocations
+in separate workers never share state.  `linear_search` is `linear_su`'s loop
+on an engine the caller keeps, which is how a gp worker carries its learned
+clauses and totalizer from one path task to the next.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
-from .formula import RelaxedFormula, WcnfFormula, cost, relax, restrict_model
+from .formula import RelaxedFormula, WcnfFormula, cost, relax
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,12 @@ def linear_su(
     deadline=None,
     clock=None,
 ) -> OptOutcome:
-    """Iterate SAT calls, tightening the at-most bound after each solution.
+    """`linear_search` on a fresh engine over `rf`, from the bound `ub_init` (n by default).
 
     The totalizer over all relaxation variables is built at the first bound
     below n (`ub_init`, or one under the first model's cost) and truncated
-    there; later, smaller bounds are assumptions only.  `path` literals ride
-    along as extra assumptions on every call.
+    there; later, smaller bounds are assumptions only.
     """
-    f = rf.base
     n = len(rf.relax_vars)
     if ub_init is None:
         ub_init = n
@@ -61,21 +61,40 @@ def linear_su(
         raise ValueError(f"ub_init {ub_init} is negative")
     if ub_init > n:
         raise ValueError(f"ub_init {ub_init} exceeds soft clause count {n}")
-    path = list(path)
-
     engine = Engine(rf.clauses, num_vars=rf.num_vars, seed=seed)
-    totalizer = Totalizer(engine, rf.relax_vars)
-    bound = ub_init
+    return linear_search(Totalizer(engine, rf.relax_vars), rf.base, ub_init, path, on_improve, deadline, clock)
+
+
+def linear_search(
+    totalizer: Totalizer,
+    f: WcnfFormula,
+    bound: int,
+    path=(),
+    on_improve=None,
+    deadline=None,
+    clock=None,
+) -> OptOutcome:
+    """Iterate SAT calls, tightening the at-most bound after each solution.
+
+    `totalizer` counts the relaxation variables of `f`'s soft clauses inside
+    an engine that holds `relax(f)`'s clauses, and it may hold more from
+    earlier searches.  Totalizer clauses only add fresh variables, and any
+    model of `relax(f)` satisfies them with those set true; learned clauses
+    follow from the rest.  So a model or a core found here holds for `f`.
+    The first call is at `bound`; `path` literals ride along as extra
+    assumptions on every call.
+    """
+    engine = totalizer.engine
+    path = list(path)
     best: Optimum | None = None
-    first_call_had_assumptions = bool(path) or bound < n
     while True:
-        result = engine.solve(path + totalizer.at_most(bound), deadline=deadline, clock=clock)
+        assumptions = path + totalizer.at_most(bound)
+        result = engine.solve(assumptions, deadline=deadline, clock=clock, model_vars=f.num_vars)
         if isinstance(result, Sat):
-            model = restrict_model(f, result.model)
-            found = cost(f, model)
-            best = Optimum(found, model)
+            found = cost(f, result.model)
+            best = Optimum(found, result.model)
             if on_improve is not None:
-                on_improve(found, model)
+                on_improve(found, result.model)
             if found == 0:
                 return best
             bound = found - 1
@@ -83,7 +102,7 @@ def linear_su(
         assert isinstance(result, Unsat)
         if best is not None:
             return best
-        if not first_call_had_assumptions:
+        if not assumptions:
             return HardUnsat()
         return NoImprovement(proof_independent=not (result.core & set(path)))
 
@@ -112,10 +131,9 @@ def msu3(
     lam = 0
     while True:
         enforce = [-r for r in rf.relax_vars if r not in relaxed]
-        result = engine.solve(enforce + totalizer.at_most(lam), deadline=deadline, clock=clock)
+        result = engine.solve(enforce + totalizer.at_most(lam), deadline=deadline, clock=clock, model_vars=f.num_vars)
         if isinstance(result, Sat):
-            model = restrict_model(f, result.model)
-            return Optimum(cost(f, model), model)
+            return Optimum(cost(f, result.model), result.model)
         assert isinstance(result, Unsat)
         core_softs = sorted(-l for l in result.core if -l in soft_vars)
         bound_hit = any(l not in soft_vars and -l not in soft_vars for l in result.core)

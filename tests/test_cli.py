@@ -321,8 +321,8 @@ def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):
 
 
 def test_solver_never_imports_numpy(instance):
-    """Only the brute-force oracle uses numpy; importing the package and a
-    standalone CLI run must not load it (fresh interpreter)."""
+    """The package needs only the standard library; importing it and a
+    standalone CLI run must not load numpy (fresh interpreter)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys, distmaxsat\n"

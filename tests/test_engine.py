@@ -325,6 +325,21 @@ def test_deterministic_given_seed(learned):
     assert learned[a] == learned[b]
 
 
+def test_model_vars_cuts_the_model_and_keeps_the_search():
+    rng = random.Random(72)
+    for _ in range(20):
+        clauses = random_cnf(rng, 14, 50)
+        full, cut = Engine(clauses, num_vars=14, seed=3), Engine(clauses, num_vars=14, seed=3)
+        for assumptions in ([], [1, -2], [3]):
+            ra, rb = full.solve(assumptions), cut.solve(assumptions, model_vars=6)
+            assert type(ra) is type(rb)
+            if isinstance(ra, Sat):
+                assert rb.model == {v: ra.model[v] for v in range(1, 7)}
+            else:
+                assert ra.core == rb.core
+        assert full.conflicts == cut.conflicts
+
+
 def test_cancel_until_saves_last_phase():
     e = Engine([(-1, 2)], num_vars=3)
     e._new_level()

@@ -28,9 +28,11 @@ def test_brute_force_guard():
 
 
 def test_brute_force_agrees_with_pure_python():
-    # Cross-check the vectorized enumeration against a literal one.
-    for seed in range(15):
-        f = gen_random(seed, num_vars=5, num_hard=6, num_soft=4, clause_len=3)
+    # Cross-check the bit-parallel enumeration against a literal one, over
+    # every column period from 1 to 8 variables.
+    for seed in range(24):
+        num_vars = 1 + seed % 8
+        f = gen_random(seed, num_vars, num_hard=num_vars + 1, num_soft=num_vars, clause_len=min(3, num_vars))
         best = None
         for mask in range(1 << f.num_vars):
             a = assignment_from_mask(mask, f.num_vars)

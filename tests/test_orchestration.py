@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -444,7 +446,100 @@ def test_gp_ignores_stale_done_and_caps_live_lower_bound_at_mu_sent():
     assert master.window.lam == 0
     assert not master.finished
     # A live task proves at most the μ it was sent.  That μ is never below
-    # the current one, so the claim closes the window, at λ = μ sent.
+    # the current one, so the claim closes the window, at λ = μ sent, and the
+    # master's own hard-clause model, held since the start, is the answer.
+    held = master.best_cost
+    assert held is not None and paths["w3"]["mu"] == held
     master.on_message("w3", Message("report_done", "w3", {"task": w3_task, "lb": huge}))
     assert master.window.lam == paths["w3"]["mu"]
-    assert master.finished and master.verdict.status == "unsatisfiable"
+    assert master.finished and master.verdict.status == "optimum" and master.verdict.cost == held
+
+
+def test_gp_publishes_the_hard_clause_model_before_any_path(monkeypatch):
+    """The first `o` of a gp run is the master's own SAT call on the hard
+    clauses, made before any path is handed out."""
+    events = []
+    on_message = WorkerNode.on_message
+
+    def traced(node, msg):
+        events.append(msg.kind)
+        return on_message(node, msg)
+
+    monkeypatch.setattr(WorkerNode, "on_message", traced)
+    f = pigeonhole(3)
+    start_cost, _model = initial_upper_bound(f, seed=4)
+    outcome = run_sim(f, "gp", num_workers=3, seed=4, on_improve=lambda c, _m: events.append(("improve", c)))
+    assert outcome.verdict.status == "optimum" and outcome.verdict.cost == 3 < start_cost
+    assert events[0] == ("improve", start_cost)
+    assert "assign_path" in events
+
+
+def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
+    """Task -1 and every path a worker takes share one engine."""
+    handling = []  # the worker whose message is being handled
+    engines, tasks = Counter(), Counter()
+    init = Engine.__init__
+
+    def spied_init(engine, *args, **kwargs):
+        if handling:
+            engines[handling[-1]] += 1
+        return init(engine, *args, **kwargs)
+
+    on_message = WorkerNode.on_message
+
+    def traced(node, msg):
+        if msg.kind == "assign_path":
+            tasks[node.wid] += 1
+        handling.append(node.wid)
+        try:
+            return on_message(node, msg)
+        finally:
+            handling.pop()
+
+    monkeypatch.setattr(Engine, "__init__", spied_init)
+    monkeypatch.setattr(WorkerNode, "on_message", traced)
+    f = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
+    outcome = run_sim(f, "gp", num_workers=2, seed=1)
+    assert outcome.verdict.cost == brute_force(f)
+    assert tasks["w1"] == 1 and tasks["w2"] >= 3, tasks
+    assert engines == Counter({wid: 1 for wid in tasks}), (engines, tasks)
+
+
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+def test_hard_unsat_run_ends_before_any_task(monkeypatch, algo):
+    sent = []
+    send = SimBus.send
+
+    def recorded(self, src, dst, msg):
+        sent.append((src, msg.kind))
+        return send(self, src, dst, msg)
+
+    monkeypatch.setattr(SimBus, "send", recorded)
+    f = make_formula(3, [[1], [-1, 2], [-2, 3], [-3]], [[1], [2], [3]])
+    outcome = run_sim(f, algo, num_workers=3, seed=0)
+    assert outcome.verdict.status == "unsatisfiable"
+    assert {kind for src, kind in sent if src == "master"} == {"terminate"}
+
+
+# Digests of the sim traces of fixed sss runs: any change to sss's search,
+# its messages or their order shows here.
+SSS_TRACE_DIGESTS = [
+    ((1000, 10, 22, 20), 2, 0, "cd5c853bcec4bdbb"),
+    ((1000, 10, 22, 20), 3, 0, "21b269b3de53ce82"),
+    ((1001, 12, 26, 24), 2, 1, "20476f15b5eb2b06"),
+    ((1001, 12, 26, 24), 3, 1, "1103c7f77d5ecd6e"),
+    ((1002, 14, 31, 28), 2, 2, "12ed8f1be388c6d5"),
+    ((1002, 14, 31, 28), 3, 2, "bf94278c5ea28fe7"),
+    ((1003, 16, 35, 32), 2, 3, "4d34773d27c9408a"),
+    ((1003, 16, 35, 32), 3, 3, "43974d78b7beb1ac"),
+    ((6, 30, 66, 60), 3, 6, "a30421302979c544"),
+    ("pigeonhole(2)", 2, 7, "e42eaada7751a294"),
+    ("pigeonhole(2)", 3, 7, "cecf3c0fc487cd36"),
+]
+
+
+@pytest.mark.parametrize("draw,workers,seed,digest", SSS_TRACE_DIGESTS)
+def test_sss_sim_trace_is_pinned(draw, workers, seed, digest):
+    f = pigeonhole(2) if draw == "pigeonhole(2)" else gen_random(*draw, clause_len=3)
+    outcome = run_sim(f, "sss", num_workers=workers, seed=seed)
+    assert hashlib.sha256(b"\n".join(outcome.trace)).hexdigest()[:16] == digest
