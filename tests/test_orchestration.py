@@ -538,8 +538,34 @@ SSS_TRACE_DIGESTS = [
 ]
 
 
+# The same draws for gp: any change to its paths, its dispatch order or its
+# messages shows here.
+GP_TRACE_DIGESTS = [
+    ((1000, 10, 22, 20), 2, 0, "01c9ad56ffe44262"),
+    ((1000, 10, 22, 20), 3, 0, "f92c187a722b4645"),
+    ((1001, 12, 26, 24), 2, 1, "58460f49edac536d"),
+    ((1001, 12, 26, 24), 3, 1, "06ce45cf15f9a113"),
+    ((1002, 14, 31, 28), 2, 2, "d04ded941c16068f"),
+    ((1002, 14, 31, 28), 3, 2, "cbcd465d8862e5c0"),
+    ((1003, 16, 35, 32), 2, 3, "12fafa356fd48a50"),
+    ((1003, 16, 35, 32), 3, 3, "18ea825b4ebc95c1"),
+    ((6, 30, 66, 60), 3, 6, "de16973840a91055"),
+    ("pigeonhole(2)", 2, 7, "bea1c2e0092b84eb"),
+    ("pigeonhole(2)", 3, 7, "f0442dffa040999a"),
+]
+
+
+def trace_digest(algo, draw, workers, seed):
+    f = pigeonhole(2) if draw == "pigeonhole(2)" else gen_random(*draw, clause_len=3)
+    outcome = run_sim(f, algo, num_workers=workers, seed=seed)
+    return hashlib.sha256(b"\n".join(outcome.trace)).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("draw,workers,seed,digest", SSS_TRACE_DIGESTS)
 def test_sss_sim_trace_is_pinned(draw, workers, seed, digest):
-    f = pigeonhole(2) if draw == "pigeonhole(2)" else gen_random(*draw, clause_len=3)
-    outcome = run_sim(f, "sss", num_workers=workers, seed=seed)
-    assert hashlib.sha256(b"\n".join(outcome.trace)).hexdigest()[:16] == digest
+    assert trace_digest("sss", draw, workers, seed) == digest
+
+
+@pytest.mark.parametrize("draw,workers,seed,digest", GP_TRACE_DIGESTS)
+def test_gp_sim_trace_is_pinned(draw, workers, seed, digest):
+    assert trace_digest("gp", draw, workers, seed) == digest
