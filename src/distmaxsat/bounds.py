@@ -1,10 +1,12 @@
 """Bound bookkeeping for search-space splitting.
 
 The master keeps a proven lower bound, the best known upper bound, and a
-sorted set of tentative bounds under test by workers.  SAT results pull the
-upper bound down (inserting the next useful tentative, μ-1); UNSAT results
-push the lower bound up.  New tentatives bisect the widest remaining gap.
-The optimum is found once the two bounds meet.
+sorted set of tentative bounds under test by workers; which worker holds
+which bound is in the master's task ledger.  SAT results pull the upper bound
+down (inserting the next useful tentative, μ-1); UNSAT results push the lower
+bound up.  New tentatives bisect the widest remaining gap.  The optimum is
+found once the two bounds meet.  Bounds only leave the window: all of them
+lie in [λ, μ-1], and λ only rises and μ only falls.
 """
 
 from __future__ import annotations
@@ -17,26 +19,18 @@ class BoundSet:
     lam: int  # proven lower bound
     mu: int  # best known upper bound (cost of some model)
     bounds: list[int] = field(default_factory=list)  # sorted, distinct
-    owner: dict[int, str] = field(default_factory=dict)  # bound -> worker id
 
     def _insert(self, b: int) -> None:
         if b not in self.bounds:
             self.bounds.append(b)
             self.bounds.sort()
 
-    def _remove(self, predicate) -> list[int]:
-        removed = [b for b in self.bounds if predicate(b)]
-        self.bounds = [b for b in self.bounds if not predicate(b)]
-        for b in removed:
-            self.owner.pop(b, None)
-        return removed
-
     def apply_sat(self, cost: int) -> bool:
         """A worker found a model of the given cost; stale reports are ignored."""
         if cost >= self.mu:
             return False
         self.mu = cost
-        self._remove(lambda b: b >= self.mu)
+        self.bounds = [b for b in self.bounds if b < cost]
         if cost - 1 >= self.lam:
             self._insert(cost - 1)
         return True
@@ -46,7 +40,7 @@ class BoundSet:
         if bound < self.lam:
             return False
         self.lam = bound + 1
-        self._remove(lambda b: b <= bound)
+        self.bounds = [b for b in self.bounds if b > bound]
         if self.lam <= self.mu - 1:
             self._insert(self.lam)
         return True
@@ -70,9 +64,6 @@ class BoundSet:
         mid = (best_pair[0] + best_pair[1]) // 2
         self._insert(mid)
         return mid
-
-    def unowned(self) -> list[int]:
-        return [b for b in self.bounds if b not in self.owner]
 
     @property
     def closed(self) -> bool:

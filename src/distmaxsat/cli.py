@@ -193,17 +193,20 @@ def _run_master(args, f, reporter, deadline) -> int:
     return reporter.finish(verdict.status)
 
 
-def _run_worker(args, f) -> int:
+def _run_worker(args, f, deadline) -> int:
     host, port = _parse_addr(args.connect)
     chan = connect(host, port)
-    worker = WorkerNode("w0", f, send=chan.send, seed=args.seed)
+    worker = WorkerNode("w0", f, send=chan.send, seed=args.seed, deadline=deadline, clock=time.monotonic)
     try:
         worker.hello()
         while not worker.done:
-            msg = chan.recv(timeout=None)
+            # Past the deadline a task's next SAT call, or this wait, raises TimeoutError.
+            msg = chan.recv(timeout=None if deadline is None else max(deadline - time.monotonic(), 1e-3))
             if msg is None:
                 break
             worker.on_message(msg)
+    except TimeoutError:
+        print("c timeout", file=sys.stdout)
     except (BrokenPipeError, ConnectionResetError):
         pass  # the master has closed the connection: the run is over
     finally:
@@ -254,7 +257,7 @@ def main(argv=None) -> int:
     if args.mode == "worker":
         # The master's hello decides the role, so a worker names no algo.
         print(f"c mode worker seed {args.seed}", file=sys.stdout)
-        return _run_worker(args, f)
+        return _run_worker(args, f, deadline)
     print(f"c algo {args.algo} mode {args.mode} seed {args.seed}", file=sys.stdout)
     if args.mode == "master":
         return _run_master(args, f, reporter, deadline)

@@ -157,12 +157,6 @@ class Engine:
             self.watches[v] = []
             self.watches[-v] = []
 
-    def value(self, lit: int) -> int:
-        """+1 if lit true, -1 if false, 0 if unassigned."""
-        if abs(lit) > self.num_vars:
-            raise IndexError(f"literal {lit} out of range")
-        return self.assigns[lit]
-
     @property
     def decision_level(self) -> int:
         return len(self.trail_lim)

@@ -61,11 +61,6 @@ class RelaxedFormula:
     def num_vars(self) -> int:
         return self.base.num_vars + len(self.relax_vars)
 
-    @property
-    def relax_map(self) -> dict[int, int]:
-        """Map relaxation variable -> index of its soft clause."""
-        return {r: j for j, r in enumerate(self.relax_vars)}
-
 
 def make_formula(num_vars: int, hard, soft) -> WcnfFormula:
     """Build a WcnfFormula from iterables of literal lists, validating both."""

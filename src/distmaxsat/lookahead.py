@@ -235,25 +235,6 @@ class PathGenerator:
         result.trace.append((op, self.theta))
 
 
-def generate_guiding_paths(
-    hard_clauses,
-    soft_clauses,
-    d0=(),
-    theta0: float = ROOT_CUTOFF,
-    num_vars: int | None = None,
-    seed: int = 0,
-    max_paths: int | None = None,
-) -> GenerationResult:
-    """One-shot generation over a fresh generator."""
-    if num_vars is None:
-        num_vars = max(
-            (abs(l) for c in list(hard_clauses) + list(soft_clauses) for l in c),
-            default=0,
-        )
-    gen = PathGenerator(hard_clauses, soft_clauses, num_vars=num_vars, seed=seed)
-    return gen.generate(d0=d0, theta0=theta0, max_paths=max_paths)
-
-
 def replay_theta_trace(trace) -> bool:
     """Recompute every θ value from the recorded operations; exact match only."""
     theta = None

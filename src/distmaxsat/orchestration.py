@@ -11,9 +11,16 @@ proven lower bound.  Workers report two kinds of fact, models and proofs:
 - `report_sat{cost, model}`: a model, sent as soon as it is found; it lowers μ.
 - `report_lower_bound{lb}`: no model costs less than `lb`; it raises λ.
 - `report_done{task, lb}`: exactly one per `assign_bound`/`assign_path`; `lb`
-  is the global lower bound the task proved, 0 if none.  The master caps it at
-  bound+1 for a bound probe and at the μ it sent for a path, and a stale task
-  (one the master no longer holds for that worker) adds nothing.
+  is the global lower bound the task proved, 0 if none.
+
+Which worker holds what is one ledger, `MasterBase.tasks`: each busy worker's
+one live `Task`, in assignment order.  `_assign` enters a task, `_conclude`
+closes it, capping its `lb` at the task's cap (bound+1 for a bound probe, the
+μ sent for a path), and `on_worker_lost` hands a lost worker's task to the
+strategy's `_requeue`.  A stale `report_done`, naming a task the master does
+not hold for its sender, adds nothing and leaves the sender's live task in
+place.  The first worker of the roster takes the strategy's `LEAD_ROLE`, the
+others, its `helpers`, take `ROLE`.
 
 Both masters start the same way: one SAT call on the hard clauses
 (`initial_upper_bound`) gives the first model, and so the first μ, before any
@@ -65,14 +72,29 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
 # --------------------------------------------------------------------- master
 
 
+@dataclass(frozen=True)
+class Task:
+    """A worker's one live task: a bound probe (`path` None, `id` the bound)
+    or a guiding path (`id` its generation index).  `cap` is the most its
+    `report_done` may prove: bound+1 for a probe, the μ sent for a path."""
+
+    id: int
+    cap: int
+    path: GuidingPath | None = None
+
+
 class MasterBase:
+    LEAD_ROLE = ""  # the first worker of the roster
+    ROLE = ""  # every other worker, the helpers
+
     def __init__(self, f: WcnfFormula, worker_ids, send, seed: int = 0):
         self.f = f
-        self.worker_ids = list(worker_ids)  # roster order decides roles
+        self.worker_ids = list(worker_ids)  # roster order: the first leads, the rest help
         self.send = send  # callable(worker_id, Message)
         self.seed = seed
         self.registered: set[str] = set()
-        self.roles: dict[str, str] = {}
+        self.helpers: list[str] = []
+        self.tasks: dict[str, Task] = {}  # worker -> its live task, in assignment order
         self._begun = False
         self.finished = False
         self.verdict: Verdict | None = None
@@ -160,7 +182,33 @@ class MasterBase:
             else:
                 self._improve(*start)
             if not self.finished:
+                lead, *self.helpers = self.worker_ids
+                self.send(lead, Message("hello", "master", {"role": self.LEAD_ROLE}))
+                for wid in self.helpers:
+                    self.send(wid, Message("hello", "master", {"role": self.ROLE}))
                 self._begin()
+
+    def _assign(self, wid: str, task: Task) -> None:
+        """Hand `wid` its next task; it must hold none."""
+        self.tasks[wid] = task
+        if task.path is None:
+            msg = Message("assign_bound", "master", {"bound": task.id})
+        else:
+            msg = Message("assign_path", "master", {"task": task.id, "path": list(task.path.decisions), "mu": task.cap})
+        self.send(wid, msg)
+
+    def _conclude(self, src: str, task_id: int, lb: int) -> int:
+        """Close `src`'s task; returns the lower bound it may add (0: none).
+
+        A stale report, naming a task the master does not hold for `src`,
+        adds nothing and leaves `src`'s live task in place.  A live one
+        proves at most the task's cap."""
+        task = self.tasks.get(src)
+        if task is None or task.id != task_id:
+            return 0
+        del self.tasks[src]
+        self._concluded(src, task)
+        return min(lb, task.cap)
 
     def on_worker_lost(self, wid: str) -> None:
         """Drop a worker whose link broke.  Before the run begins the roster
@@ -169,166 +217,111 @@ class MasterBase:
             return
         self.worker_ids.remove(wid)
         self.registered.discard(wid)
-        if self._begun:
-            self._reclaim(wid)
-        else:
+        if not self._begun:
             self._begin_when_ready()
+            return
+        if wid in self.helpers:
+            self.helpers.remove(wid)
+        self._requeue(wid, self.tasks.pop(wid, None))
+        self._schedule()
 
     def _begin(self) -> None:
         """Start the strategy's own search, once a model is held and μ is its cost."""
         raise NotImplementedError
 
-    def _conclude(self, src: str, task: int, lb: int) -> int:
-        """Close `src`'s task; returns the lower bound it may add (0: none)."""
-        raise NotImplementedError
-
     def _schedule(self) -> None:
         raise NotImplementedError
 
-    def _reclaim(self, wid: str) -> None:
-        raise NotImplementedError
+    def _concluded(self, wid: str, task: Task) -> None:
+        """`wid` has concluded its live `task`."""
+
+    def _requeue(self, wid: str, task: Task | None) -> None:
+        """`wid` is lost, holding `task` (None: it held none)."""
 
 
 class SssMaster(MasterBase):
-    """Search-space splitting: one core-guided worker, the rest probe bounds."""
+    """Search-space splitting: one core-guided worker, the helpers probe bounds."""
 
-    def __init__(self, f, worker_ids, send, seed: int = 0):
-        super().__init__(f, worker_ids, send, seed)
-        self.current_task: dict[str, int | None] = {}
-        self.linear_workers: list[str] = []
-
-    def _assign_roles(self) -> None:
-        self.roles[self.worker_ids[0]] = "sss_msu3"
-        self.linear_workers = self.worker_ids[1:]
-        for wid in self.linear_workers:
-            self.roles[wid] = "sss_linear"
-        for wid in self.worker_ids:
-            self.send(wid, Message("hello", "master", {"role": self.roles[wid]}))
+    LEAD_ROLE = "sss_msu3"
+    ROLE = "sss_linear"
 
     def _begin(self) -> None:
-        self._assign_roles()
         window = self.window
-        window.bounds = initial_bounds(window.mu, max(1, len(self.linear_workers))).bounds
-        for wid, bound in zip(self.linear_workers, window.bounds[1:]):
-            self._assign_bound(wid, bound)
-        for wid in self.linear_workers:
-            if self.current_task.get(wid) is None:
-                self._reassign(wid)
-
-    def _assign_bound(self, wid: str, bound: int) -> None:
-        self.window.owner[bound] = wid
-        self.current_task[wid] = bound
-        self.send(wid, Message("assign_bound", "master", {"bound": bound}))
+        window.bounds = initial_bounds(window.mu, max(1, len(self.helpers))).bounds
+        for wid, bound in zip(self.helpers, window.bounds[1:]):
+            self._assign(wid, Task(bound, bound + 1))
+        self._schedule()
 
     def _reassign(self, wid: str) -> None:
-        """Give `wid` a fresh midpoint, or any unowned bound, or let it idle."""
-        self.current_task[wid] = None
+        """Give `wid` a fresh midpoint, or any bound no worker holds, or let it idle."""
+        self.tasks.pop(wid, None)
         window = self.window
         bound = window.next_tentative()
         if bound is None:
-            candidates = [b for b in window.unowned() if window.lam <= b <= window.mu - 1]
-            bound = candidates[0] if candidates else None
+            held = {task.id for task in self.tasks.values()}
+            bound = next((b for b in window.bounds if b not in held), None)
         if bound is not None:
-            self._assign_bound(wid, bound)
+            self._assign(wid, Task(bound, bound + 1))
 
     def _schedule(self) -> None:
-        """Abort and refit every linear worker whose bound left the window."""
+        """Abort and refit every helper whose bound left the window."""
         if self.finished:
             return
-        window = self.window
-        for wid in self.linear_workers:
-            task = self.current_task.get(wid)
-            if task is not None and (task not in window.bounds or window.owner.get(task) != wid):
+        for wid in self.helpers:
+            task = self.tasks.get(wid)
+            if task is None:
+                self._reassign(wid)
+            elif task.id not in self.window.bounds:
                 self.send(wid, Message("abort", "master", {}))
                 self._reassign(wid)
-            elif task is None:
-                self._reassign(wid)
-
-    def _conclude(self, src: str, task: int, lb: int) -> int:
-        if self.current_task.get(src) != task:
-            return 0  # aborted: the bound left the window, so it proves no more
-        self.current_task[src] = None
-        self.window.owner.pop(task, None)
-        return min(lb, task + 1)
-
-    def _reclaim(self, wid: str) -> None:
-        task = self.current_task.pop(wid, None)
-        if task is not None:
-            self.window.owner.pop(task, None)
-        if wid in self.linear_workers:
-            self.linear_workers.remove(wid)
-        self._schedule()
 
 
 class GpMaster(MasterBase):
     """Guiding paths: a queue of lookahead cubes plus one full linear search."""
 
+    LEAD_ROLE = "gp_linear"
+    ROLE = "gp_solver"
+
     def __init__(self, f, worker_ids, send, seed: int = 0):
         super().__init__(f, worker_ids, send, seed)
         self.generator: PathGenerator | None = None
         self.pending: list[GuidingPath] = []
-        self.in_flight: dict[int, tuple[GuidingPath, int, int, str]] = {}  # task -> (path, mu_sent, seq, wid)
         self.resplit_done: set[int] = set()
-        self.assign_seq = 0
         self.terminated_early = False
         self.pending_at_termination = 0
-        self.path_workers: list[str] = []
-        self.idle: list[str] = []
-        self.gen_trace: list[tuple[str, float]] = []
+        self.idle: list[str] = []  # helpers without a task, first in, first out
         self.generated_paths: list[GuidingPath] = []
-
-    def _assign_roles(self) -> None:
-        self.roles[self.worker_ids[0]] = "gp_linear"
-        self.path_workers = self.worker_ids[1:]
-        for wid in self.path_workers:
-            self.roles[wid] = "gp_solver"
-        for wid in self.worker_ids:
-            self.send(wid, Message("hello", "master", {"role": self.roles[wid]}))
 
     def _begin(self) -> None:
         # The full linear search starts first so it can improve μ while the
-        # master is busy generating the root paths.
-        self._assign_roles()
-        self._dispatch_to(self.worker_ids[0], GuidingPath(decisions=(), gen_index=WHOLE_FORMULA_TASK))
+        # master is busy generating the root paths.  The hard clauses have a
+        # model, so the root cannot conflict and the path that model agrees
+        # with is never pruned: at least one path comes back.
+        whole = GuidingPath(decisions=(), gen_index=WHOLE_FORMULA_TASK)
+        self._assign(self.worker_ids[0], Task(WHOLE_FORMULA_TASK, self.window.mu, whole))
         self.generator = PathGenerator(self.f.hard, self.f.soft, num_vars=self.f.num_vars, seed=self.seed)
-        result = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget())
-        self.gen_trace = result.trace
-        if result.root_conflict:
-            self._raise_lower(self.f.num_soft + 1)
-            return
-        if result.paths:
-            self.pending = list(result.paths)
-        else:
-            whole = GuidingPath(decisions=(), gen_index=self.generator.next_index)
-            self.generator.next_index += 1
-            self.pending = [whole]
+        self.pending = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget()).paths
         self.generated_paths.extend(self.pending)
         self._sort_pending()
-        self.idle = list(self.path_workers)
+        self.idle = list(self.helpers)
         self._schedule()
 
     def _path_budget(self) -> int:
-        return PATHS_PER_WORKER * len(self.path_workers)
+        return PATHS_PER_WORKER * len(self.helpers)
 
     def _sort_pending(self) -> None:
         self.pending.sort(key=lambda p: (p.depth, p.gen_index))
 
     def _paths_open(self) -> bool:
-        return bool(self.pending) or any(task != WHOLE_FORMULA_TASK for task in self.in_flight)
-
-    def _dispatch_to(self, wid: str, path: GuidingPath) -> None:
-        mu = self.window.mu
-        self.in_flight[path.gen_index] = (path, mu, self.assign_seq, wid)
-        self.assign_seq += 1
-        self.send(wid, Message("assign_path", "master", {"task": path.gen_index, "path": list(path.decisions), "mu": mu}))
+        return bool(self.pending) or any(task.id != WHOLE_FORMULA_TASK for task in self.tasks.values())
 
     def _schedule(self) -> None:
         if self.finished:
             return
         while self.idle and self.pending:
-            wid = self.idle.pop(0)
-            self._dispatch_to(wid, self.pending.pop(0))
-        if self.idle and not self.pending and self.in_flight:
+            path = self.pending.pop(0)
+            self._assign(self.idle.pop(0), Task(path.gen_index, self.window.mu, path))
+        if self.idle and not self.pending and self.tasks:
             self._resplit()
         if not self._paths_open():
             # The paths partition the search space and none holds a model
@@ -336,54 +329,39 @@ class GpMaster(MasterBase):
             self._raise_lower(self.window.mu)
 
     def _resplit(self) -> None:
-        """Split the longest-running in-flight path into sub-paths."""
-        candidates = [
-            (seq, task) for task, (_p, _mu, seq, _w) in self.in_flight.items()
-            if task not in self.resplit_done and task != WHOLE_FORMULA_TASK
-        ]
-        if not candidates:
-            return
-        _seq, task = min(candidates)
-        self.resplit_done.add(task)
-        parent = self.in_flight[task][0]
-        result = self.generator.generate(
-            d0=parent.decisions, theta0=RESPLIT_CUTOFF, parent_index=task, max_paths=self._path_budget()
+        """Split the longest-running path task into sub-paths."""
+        task = next(
+            (t for t in self.tasks.values() if t.id not in self.resplit_done and t.id != WHOLE_FORMULA_TASK), None,
         )
-        self.gen_trace.extend(result.trace)
+        if task is None:
+            return
+        self.resplit_done.add(task.id)
+        result = self.generator.generate(
+            d0=task.path.decisions, theta0=RESPLIT_CUTOFF, parent_index=task.id, max_paths=self._path_budget()
+        )
         if result.paths:
             self.pending.extend(result.paths)
             self.generated_paths.extend(result.paths)
             self._sort_pending()
             self._schedule()
 
-    def _conclude(self, src: str, task: int, lb: int) -> int:
-        if src in self.path_workers and src not in self.idle:
-            self.idle.append(src)
-        entry = self.in_flight.get(task)
-        if entry is None or entry[3] != src:
-            return 0
-        del self.in_flight[task]
+    def _concluded(self, wid: str, task: Task) -> None:
+        if wid in self.helpers:
+            self.idle.append(wid)
         # Sub-paths of a concluded parent are redundant.
-        self.pending = [p for p in self.pending if p.parent_index != task]
-        return min(lb, entry[1])
+        self.pending = [p for p in self.pending if p.parent_index != task.id]
+
+    def _requeue(self, wid: str, task: Task | None) -> None:
+        if wid in self.idle:
+            self.idle.remove(wid)
+        if task is not None and task.id != WHOLE_FORMULA_TASK:
+            self.pending.append(task.path)
+            self._sort_pending()
 
     def _finish(self) -> None:
         self.pending_at_termination = len(self.pending)
         self.terminated_early = self._paths_open()
         super()._finish()
-
-    def _reclaim(self, wid: str) -> None:
-        for task, (path, _mu, _seq, owner) in list(self.in_flight.items()):
-            if owner == wid:
-                del self.in_flight[task]
-                if task != WHOLE_FORMULA_TASK:
-                    self.pending.append(path)
-        self._sort_pending()
-        if wid in self.path_workers:
-            self.path_workers.remove(wid)
-        if wid in self.idle:
-            self.idle.remove(wid)
-        self._schedule()
 
 
 # --------------------------------------------------------------------- worker
@@ -432,7 +410,7 @@ class WorkerNode:
     def _report_done(self, task: int, lb: int) -> None:
         self.send(Message("report_done", self.wid, {"task": task, "lb": lb}))
 
-    # ------------------------------------------------------------ sss roles
+    # ----------------------------------------------------------- sss workers
 
     def _run_msu3(self) -> None:
         outcome = msu3(
@@ -465,7 +443,7 @@ class WorkerNode:
         else:
             self._report_done(bound, bound + 1)
 
-    # ------------------------------------------------------------- gp roles
+    # ------------------------------------------------------------ gp workers
 
     def _solve_path(self, task: int, path, mu: int) -> None:
         """Linear search under the path below μ; every model is reported."""

@@ -41,28 +41,20 @@ OptOutcome = Optimum | HardUnsat | NoImprovement
 
 def linear_su(
     rf: RelaxedFormula,
-    ub_init: int | None = None,
-    path=(),
     on_improve=None,
     seed: int = 0,
     deadline=None,
     clock=None,
 ) -> OptOutcome:
-    """`linear_search` on a fresh engine over `rf`, from the bound `ub_init` (n by default).
+    """`linear_search` on a fresh engine over `rf`, from the bound n (every soft clause).
 
     The totalizer over all relaxation variables is built at the first bound
-    below n (`ub_init`, or one under the first model's cost) and truncated
-    there; later, smaller bounds are assumptions only.
+    below n (one under the first model's cost) and truncated there; later,
+    smaller bounds are assumptions only.
     """
-    n = len(rf.relax_vars)
-    if ub_init is None:
-        ub_init = n
-    if ub_init < 0:
-        raise ValueError(f"ub_init {ub_init} is negative")
-    if ub_init > n:
-        raise ValueError(f"ub_init {ub_init} exceeds soft clause count {n}")
     engine = Engine(rf.clauses, num_vars=rf.num_vars, seed=seed)
-    return linear_search(Totalizer(engine, rf.relax_vars), rf.base, ub_init, path, on_improve, deadline, clock)
+    totalizer = Totalizer(engine, rf.relax_vars)
+    return linear_search(totalizer, rf.base, len(rf.relax_vars), on_improve=on_improve, deadline=deadline, clock=clock)
 
 
 def linear_search(

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from distmaxsat.bounds import BoundSet, initial_bounds
-from distmaxsat.cardinality import bound_assumptions, encode_totalizer
+from distmaxsat.cardinality import Totalizer, bound_assumptions, encode_totalizer
 from distmaxsat.engine import Engine, Sat, Unsat
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.lookahead import (
@@ -21,12 +21,11 @@ from distmaxsat.lookahead import (
     PathGenerator,
     RESPLIT_CUTOFF,
     ROOT_CUTOFF,
-    generate_guiding_paths,
     replay_theta_trace,
 )
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random, hard_models
 from distmaxsat.orchestration import run_sim
-from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_su, msu3
+from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_search, linear_su, msu3
 
 
 def report(num: int, name: str) -> None:
@@ -160,7 +159,7 @@ def generation_runs():
             rng.randint(1, 12), min(3, num_vars),
         )
         for max_paths in GENERATION_BUDGETS:
-            result = generate_guiding_paths(f.hard, f.soft, num_vars=f.num_vars, seed=i, max_paths=max_paths)
+            result = PathGenerator(f.hard, f.soft, num_vars=f.num_vars, seed=i).generate(max_paths=max_paths)
             runs.append((f, max_paths, result))
     return runs
 
@@ -222,7 +221,9 @@ def test_criterion_6_early_termination():
     rf = relax(f)
     mu = 2
     for path in ([3], [3, -4], [5, 6, 7], [-3, 4, -5, 6]):
-        outcome = linear_su(rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path)
+        # What a gp path worker runs for `assign_path(path, mu)`.
+        totalizer = Totalizer(Engine(rf.clauses, num_vars=rf.num_vars), rf.relax_vars)
+        outcome = linear_search(totalizer, f, min(mu - 1, f.num_soft), path=path)
         assert isinstance(outcome, NoImprovement)
         assert outcome.proof_independent is True
     for seed in range(5):

@@ -71,10 +71,9 @@ def test_next_tentative_no_gap():
     assert bs.next_tentative() is None
 
 
-def test_owner_cleared_on_removal():
-    bs = BoundSet(lam=0, mu=20, bounds=[2, 8, 15], owner={8: "w1", 15: "w2"})
+def test_sat_removes_bounds_at_or_above_the_new_mu():
+    bs = BoundSet(lam=0, mu=20, bounds=[2, 8, 15])
     bs.apply_sat(7)
-    assert 8 not in bs.owner and 15 not in bs.owner
     assert bs.bounds == [2, 6]
 
 

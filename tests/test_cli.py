@@ -320,6 +320,58 @@ def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):
     assert result["code"] == 0
 
 
+@pytest.mark.parametrize("role", ["sss_msu3", "sss_linear"])
+def test_worker_timeout_bounds_a_socket_worker(tmp_path, role):
+    """`--timeout` bounds a socket worker, both in a task it cannot finish in
+    time (`sss_msu3`) and while it waits for a task that never comes
+    (`sss_linear`): it is back within a few seconds."""
+    import socket as socketlib
+
+    from conftest import pigeonhole
+    from distmaxsat.transport import Message, decode_message, encode_message
+
+    path = tmp_path / "php98.wcnf"
+    path.write_text(serialize_wcnf(pigeonhole(1, holes=8)))  # msu3 needs far more than 1 s
+    server = socketlib.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+    out = PerThreadStdout()
+    result = {}
+
+    def worker():
+        result["code"] = main([str(path), "--mode", "worker", "--timeout", "1",
+                               "--connect", f"127.0.0.1:{port}"])
+        result["out"] = out.mine()
+
+    thread = threading.Thread(target=worker, daemon=True)
+    with redirect_stdout(out):
+        thread.start()
+        server.settimeout(30)
+        try:
+            conn, _ = server.accept()
+        finally:
+            server.close()
+        with conn:
+            conn.settimeout(30)
+            hello = b""
+            while not hello.endswith(b"\n"):
+                chunk = conn.recv(1)
+                assert chunk, "worker closed before its hello"
+                hello += chunk
+            assert decode_message(hello).kind == "hello"
+            conn.sendall(encode_message(Message("hello", "master", {"role": role})))
+            thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result["code"] == 0
+    assert result["out"].splitlines()[-1] == "c timeout"
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+
+
 def test_solver_never_imports_numpy(instance):
     """The package needs only the standard library; importing it and a
     standalone CLI run must not load numpy (fresh interpreter)."""

@@ -187,7 +187,7 @@ def test_analyze_learns_negation_of_bad_decision():
     assert isinstance(outcome, Conflict)
     learned = e.analyze_and_learn(outcome)
     assert learned == (-1,)
-    assert e.value(-1) > 0  # asserted at level 0
+    assert e.assigns[-1] > 0  # asserted at level 0
 
 
 def test_analyze_requires_live_conflict():
@@ -259,8 +259,8 @@ def check_lazy_watch_invariant(engine):
         if clause not in engine.watches[a] or clause not in engine.watches[b]:
             continue  # a level-0 unit or satisfied clause: never watched
         for false_lit, other in ((a, b), (b, a)):
-            if engine.value(false_lit) < 0:
-                assert engine.value(other) > 0, clause
+            if engine.assigns[false_lit] < 0:
+                assert engine.assigns[other] > 0, clause
                 assert engine.levels[abs(other)] <= engine.levels[abs(false_lit)], clause
 
 
@@ -280,7 +280,7 @@ def test_watch_invariant_after_propagation():
         ]
         # One decision per level, checked after each conflict-free propagation.
         for d in decisions:
-            if e.value(d) != 0:
+            if e.assigns[d] != 0:
                 continue
             e._new_level()
             e._enqueue(d, None)
@@ -349,7 +349,7 @@ def test_cancel_until_saves_last_phase():
     e._enqueue(-3, None)
     e._cancel_until(0)
     assert e.phase[1:] == [True, True, False]
-    assert all(e.value(v) == 0 for v in (1, 2, 3))
+    assert all(e.assigns[v] == 0 for v in (1, 2, 3))
     e._new_level()
     e._enqueue(-1, None)
     e._enqueue(3, None)

@@ -75,7 +75,6 @@ def test_relax_appends_fresh_variables():
     rf = relax(f)
     assert rf.relax_vars == (3, 4)
     assert rf.clauses == ((1, 2), (-1, 3), (-2, 4))
-    assert rf.relax_map == {3: 0, 4: 1}
 
 
 def test_relax_no_soft_clauses():

@@ -9,7 +9,6 @@ from distmaxsat.lookahead import (
     choose_variable,
     clause_reduction_score,
     dump_paths,
-    generate_guiding_paths,
     polarity_counts,
     rank_key,
     replay_theta_trace,
@@ -174,14 +173,14 @@ def test_polarity_counts_against_naive(rng):
 
 
 def test_root_conflict_returns_no_paths():
-    result = generate_guiding_paths([(1,), (-1,)], [(2,)], num_vars=2)
+    result = PathGenerator([(1,), (-1,)], [(2,)], num_vars=2).generate()
     assert result.root_conflict
     assert result.paths == []
 
 
 def test_tiny_cutoff_emits_d0_alone():
     f = gen_random(5, num_vars=6, num_hard=4, num_soft=4, clause_len=3)
-    result = generate_guiding_paths(f.hard, f.soft, d0=(1,), theta0=1e-6, num_vars=6)
+    result = PathGenerator(f.hard, f.soft, num_vars=6).generate(d0=(1,), theta0=1e-6)
     if not result.root_conflict:
         assert [p.decisions for p in result.paths] == [(1,)]
 
@@ -194,7 +193,7 @@ def test_paths_pairwise_conflicting_and_covering():
         f = gen_random(seed, num_vars=8, num_hard=8, num_soft=6, clause_len=3)
         models = hard_models(f)
         for max_paths in BUDGETS:
-            result = generate_guiding_paths(f.hard, f.soft, num_vars=f.num_vars, max_paths=max_paths)
+            result = PathGenerator(f.hard, f.soft, num_vars=f.num_vars).generate(max_paths=max_paths)
             paths = result.paths
             if max_paths is not None:
                 assert len(paths) <= max(max_paths, 2), (seed, max_paths)
@@ -210,7 +209,7 @@ def test_paths_pairwise_conflicting_and_covering():
 
 def test_gen_indices_in_emission_order():
     f = gen_random(9, num_vars=7, num_hard=5, num_soft=5, clause_len=3)
-    result = generate_guiding_paths(f.hard, f.soft, num_vars=7)
+    result = PathGenerator(f.hard, f.soft, num_vars=7).generate()
     indices = [p.gen_index for p in result.paths]
     assert indices == sorted(indices)
     assert len(set(indices)) == len(indices)
@@ -220,7 +219,7 @@ def test_theta_trace_replays_exactly():
     for seed in (3, 17, 29):
         f = gen_random(seed, num_vars=8, num_hard=10, num_soft=6, clause_len=3)
         for max_paths in BUDGETS:
-            result = generate_guiding_paths(f.hard, f.soft, num_vars=8, max_paths=max_paths)
+            result = PathGenerator(f.hard, f.soft, num_vars=8).generate(max_paths=max_paths)
             assert result.trace[0] == ("init", 1000.0)
             assert replay_theta_trace(result.trace)
 
@@ -243,8 +242,8 @@ def test_resplit_reuses_generator_and_restarts_theta():
 
 def test_determinism():
     f = gen_random(33, num_vars=9, num_hard=9, num_soft=7, clause_len=3)
-    a = generate_guiding_paths(f.hard, f.soft, num_vars=9, seed=4)
-    b = generate_guiding_paths(f.hard, f.soft, num_vars=9, seed=4)
+    a = PathGenerator(f.hard, f.soft, num_vars=9, seed=4).generate()
+    b = PathGenerator(f.hard, f.soft, num_vars=9, seed=4).generate()
     assert [p.decisions for p in a.paths] == [p.decisions for p in b.paths]
     assert a.trace == b.trace
 
@@ -253,7 +252,7 @@ def test_decisions_only_on_soft_variables():
     for seed in range(20):
         f = gen_random(50 + seed, num_vars=8, num_hard=8, num_soft=4, clause_len=3)
         soft_vars = {abs(l) for c in f.soft for l in c}
-        result = generate_guiding_paths(f.hard, f.soft, num_vars=8)
+        result = PathGenerator(f.hard, f.soft, num_vars=8).generate()
         for p in result.paths:
             assert {abs(l) for l in p.decisions} <= soft_vars
 
@@ -268,7 +267,7 @@ def test_depth_guard_shrinks_theta():
 
 def test_dump_paths_icnf_lines():
     f = gen_random(2, num_vars=6, num_hard=4, num_soft=4, clause_len=3)
-    result = generate_guiding_paths(f.hard, f.soft, num_vars=6)
+    result = PathGenerator(f.hard, f.soft, num_vars=6).generate()
     text = dump_paths(result.paths)
     lines = [l for l in text.splitlines() if l]
     assert len(lines) == len(result.paths)

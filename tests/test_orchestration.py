@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from distmaxsat.cardinality import Totalizer
 from distmaxsat.engine import Engine
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
@@ -14,7 +15,7 @@ from distmaxsat.orchestration import (
     initial_upper_bound,
     run_sim,
 )
-from distmaxsat.sequential import NoImprovement, Optimum, linear_su
+from distmaxsat.sequential import NoImprovement, Optimum, linear_search
 from distmaxsat.transport import Message, SimBus
 
 from conftest import pigeonhole
@@ -43,14 +44,17 @@ def test_initial_upper_bound_at_least_optimum():
             assert start is not None and start[0] >= opt
 
 
-def solve_path(path, mu, rf):
-    """What a gp path worker runs for `assign_path(path, mu)`."""
-    return linear_su(rf, ub_init=min(mu - 1, len(rf.relax_vars)), path=path)
+def solve_path(path, mu, f):
+    """What a gp path worker runs for `assign_path(path, mu)`: `linear_search`
+    on one engine and totalizer over `relax(f)`."""
+    rf = relax(f)
+    totalizer = Totalizer(Engine(rf.clauses, num_vars=rf.num_vars), rf.relax_vars)
+    return linear_search(totalizer, f, min(mu - 1, f.num_soft), path=path)
 
 
 def test_gp_worker_path_contradicting_hard_clauses():
     f = make_formula(2, [[1]], [[2]])
-    outcome = solve_path([-1], mu=1, rf=relax(f))
+    outcome = solve_path([-1], mu=1, f=f)
     assert isinstance(outcome, NoImprovement)
     assert outcome.proof_independent is False  # core must use the path literal
 
@@ -58,15 +62,9 @@ def test_gp_worker_path_contradicting_hard_clauses():
 def test_gp_worker_path_pinning_better_model():
     # Path forces the zero-cost corner; mu=2 allows improvement to 0.
     f = make_formula(2, [], [[1], [2]])
-    outcome = solve_path([1, 2], mu=2, rf=relax(f))
+    outcome = solve_path([1, 2], mu=2, f=f)
     assert isinstance(outcome, Optimum)
     assert outcome.cost == 0
-
-
-def test_gp_worker_requires_positive_mu():
-    f = make_formula(1, [], [[1]])
-    with pytest.raises(ValueError):
-        solve_path([], mu=0, rf=relax(f))
 
 
 def sim_and_check(f, algo, workers, seed):
@@ -155,9 +153,8 @@ def early_termination_formula():
 
 def test_path_worker_core_excludes_path_literals():
     f = early_termination_formula()
-    rf = relax(f)
     for path in ([3], [3, -4], [5, 6, 7]):
-        outcome = solve_path(path, mu=2, rf=rf)
+        outcome = solve_path(path, mu=2, f=f)
         assert isinstance(outcome, NoImprovement)
         assert outcome.proof_independent is True
 
@@ -287,7 +284,7 @@ def test_sss_master_survives_worker_loss():
         src, dst, msg = bus.deliver_next()
         if dst == "master":
             master.on_message(src, msg)
-            if not lost and not master.finished and "w3" in master.linear_workers:
+            if not lost and not master.finished and "w3" in master.helpers:
                 master.on_worker_lost("w3")
                 lost = True
         elif dst != "w3" or not lost:
@@ -302,11 +299,12 @@ def test_gp_master_requeues_tasks_of_lost_worker():
     master = GpMaster(f, ["w1", "w2", "w3"], send=lambda dst, m: sent.append((dst, m)), seed=0)
     for wid in ("w1", "w2", "w3"):
         master.on_message(wid, Message("hello", wid, {"role": "worker"}))
-    in_flight_before = dict(master.in_flight)
-    victims = [task for task, (_p, _mu, _seq, wid) in in_flight_before.items() if wid == "w2"]
+    lost = master.tasks["w2"]
     master.on_worker_lost("w2")
-    for task in victims:
-        assert task not in master.in_flight
+    assert "w2" not in master.tasks and master.helpers == ["w3"]
+    # Its path goes back to the queue, first among paths of its depth.
+    assert lost.path in master.pending
+    assert master.pending == sorted(master.pending, key=lambda p: (p.depth, p.gen_index))
 
 
 def run_master_to_end(master, workers, bus):
@@ -453,6 +451,18 @@ def test_gp_ignores_stale_done_and_caps_live_lower_bound_at_mu_sent():
     master.on_message("w3", Message("report_done", "w3", {"task": w3_task, "lb": huge}))
     assert master.window.lam == paths["w3"]["mu"]
     assert master.finished and master.verdict.status == "optimum" and master.verdict.cost == held
+
+
+def test_gp_stale_done_leaves_the_senders_live_task_in_place():
+    """A done naming another worker's task must not mark its sender idle:
+    the sender still holds its own path, so it gets no second one."""
+    f = pigeonhole(2)
+    master, sent = begun_master(GpMaster, f, ["w1", "w2", "w3"])
+    tasks = {dst: m.payload["task"] for dst, m in sent if m.kind == "assign_path"}
+    sent.clear()
+    master.on_message("w3", Message("report_done", "w3", {"task": tasks["w2"], "lb": 0}))
+    assert [m.kind for dst, m in sent if dst == "w3"] == []
+    assert {wid: task.id for wid, task in master.tasks.items()} == tasks
 
 
 def test_gp_publishes_the_hard_clause_model_before_any_path(monkeypatch):

@@ -1,10 +1,10 @@
 import random
 
-import pytest
-
+from distmaxsat.cardinality import Totalizer
+from distmaxsat.engine import Engine
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
-from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_su, msu3
+from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_search, linear_su, msu3
 
 
 def test_linear_su_two_var_example():
@@ -20,23 +20,31 @@ def test_linear_su_hard_unsat():
     assert isinstance(linear_su(relax(f)), HardUnsat)
 
 
+def search_under_path(f, bound, path):
+    """`linear_su`'s loop as a gp path task runs it: `linear_search` from
+    `bound` under `path`, on one engine and totalizer over `relax(f)`."""
+    rf = relax(f)
+    totalizer = Totalizer(Engine(rf.clauses, num_vars=rf.num_vars), rf.relax_vars)
+    return linear_search(totalizer, f, bound, path=path)
+
+
 def test_linear_su_no_improvement_under_path():
-    # ub_init 0 forbids any violation; under path [1] the soft (-1) must break.
+    # Bound 0 forbids any violation; under path [1] the soft (-1) must break.
     f = make_formula(1, [], [[-1]])
-    outcome = linear_su(relax(f), ub_init=0, path=[1])
+    outcome = search_under_path(f, 0, [1])
     assert isinstance(outcome, NoImprovement)
 
 
 def test_linear_su_proof_independence_flag():
     # Bound 0 is globally impossible: (x1) and (-x1) cannot both hold.
     f = make_formula(2, [], [[1], [-1]])
-    outcome = linear_su(relax(f), ub_init=0, path=[2])
+    outcome = search_under_path(f, 0, [2])
     assert isinstance(outcome, NoImprovement)
     assert outcome.proof_independent is True
 
     # Here the path itself is the only obstacle, so the core must use it.
     g = make_formula(1, [], [[-1]])
-    outcome = linear_su(relax(g), ub_init=0, path=[1])
+    outcome = search_under_path(g, 0, [1])
     assert isinstance(outcome, NoImprovement)
     assert outcome.proof_independent is False
 
@@ -50,18 +58,6 @@ def test_linear_su_reports_improvements_strictly_decreasing():
         assert seen == sorted(seen, reverse=True)
         assert len(set(seen)) == len(seen)
         assert seen[-1] == outcome.cost
-
-
-def test_linear_su_rejects_oversized_bound():
-    f = make_formula(1, [], [[1]])
-    with pytest.raises(ValueError, match="exceeds"):
-        linear_su(relax(f), ub_init=2)
-
-
-def test_linear_su_rejects_negative_bound():
-    f = make_formula(1, [], [[1]])
-    with pytest.raises(ValueError, match="ub_init -1 is negative"):
-        linear_su(relax(f), ub_init=-1)
 
 
 def test_msu3_sat_first_call():
