@@ -13,7 +13,7 @@ from .formula import (
 )
 from .engine import Engine, Sat, Unsat, Implied, Conflict
 from .cardinality import AtMostEncoding, encode_totalizer, bound_assumptions
-from .sequential import OptOutcome, Optimum, HardUnsat, NoImprovement, linear_su, msu3
+from .sequential import OptOutcome, Optimum, HardUnsat, CoreGuided, linear_su, msu3
 from .oracle import brute_force, gen_random, HARD_UNSAT
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "OptOutcome",
     "Optimum",
     "HardUnsat",
-    "NoImprovement",
+    "CoreGuided",
     "linear_su",
     "msu3",
     "brute_force",

@@ -195,12 +195,14 @@ def _run_master(args, f, reporter, deadline) -> int:
 
 def _run_worker(args, f, deadline) -> int:
     host, port = _parse_addr(args.connect)
-    chan = connect(host, port)
-    worker = WorkerNode("w0", f, send=chan.send, seed=args.seed, deadline=deadline, clock=time.monotonic)
+    chan = None
     try:
+        # Past the deadline the connect, a task's next SAT call or the wait
+        # for a message raises TimeoutError.
+        chan = connect(host, port, deadline=deadline)
+        worker = WorkerNode("w0", f, send=chan.send, seed=args.seed, deadline=deadline, clock=time.monotonic)
         worker.hello()
         while not worker.done:
-            # Past the deadline a task's next SAT call, or this wait, raises TimeoutError.
             msg = chan.recv(timeout=None if deadline is None else max(deadline - time.monotonic(), 1e-3))
             if msg is None:
                 break
@@ -210,7 +212,8 @@ def _run_worker(args, f, deadline) -> int:
     except (BrokenPipeError, ConnectionResetError):
         pass  # the master has closed the connection: the run is over
     finally:
-        chan.close()
+        if chan is not None:
+            chan.close()
     return 0
 
 

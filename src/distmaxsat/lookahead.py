@@ -60,34 +60,22 @@ def rank_key(pos_score: float, neg_score: float, var: int):
     return (pos_score * neg_score, pos_score + neg_score, -var)
 
 
-def clause_reduction_score(
-    engine: Engine,
-    assigned: dict[int, bool],
-    lit: int,
-    l_max: int,
-    watched_only: bool = False,
-) -> float:
-    """Weighted count of clauses strictly shortened (and left unsatisfied) by `lit`.
+def clause_reduction_score(engine: Engine, assigned: dict[int, bool], lit: int, l_max: int) -> float:
+    """Weighted count of the clauses watching ¬lit that `lit` strictly shortens
+    and leaves unsatisfied.
 
-    A clause counts when it contains ¬lit and is not yet satisfied; its weight
-    is 5^(l_max - k) where k is its length after the shortening, lengths
-    counting only unassigned literals.  In watched-only mode just the clauses
-    currently watching ¬lit are scanned, read from the watch list in place.
+    Each counts 5^(l_max - k), k being its length after the shortening,
+    lengths counting only unassigned literals.  Only the watch list of ¬lit
+    is read, in place, so a clause holding ¬lit at an unwatched position does
+    not count: a cheap stand-in for a scan of every clause.
     """
     if abs(lit) in assigned:
         raise ValueError(f"literal {lit} already assigned")
-    if watched_only:
-        candidates = engine.watches.get(-lit, ())
-    else:
-        candidates = engine.clauses + engine.learned_clauses
     total = 0.0
-    for clause in candidates:
-        lits = clause.lits
-        if -lit not in lits:
-            continue
+    for clause in engine.watches.get(-lit, ()):
         satisfied = False
         reduced_len = 0
-        for q in lits:
+        for q in clause.lits:
             val = assigned.get(abs(q))
             if val is None:
                 if q != -lit:
@@ -130,8 +118,8 @@ def choose_variable(engine, assigned, soft_vars, l_max) -> int | None:
     for v in soft_vars:
         if v in assigned:
             continue
-        pos = clause_reduction_score(engine, assigned, v, l_max, watched_only=True)
-        neg = clause_reduction_score(engine, assigned, -v, l_max, watched_only=True)
+        pos = clause_reduction_score(engine, assigned, v, l_max)
+        neg = clause_reduction_score(engine, assigned, -v, l_max)
         key = rank_key(pos, neg, v)
         if best_key is None or key > best_key:
             best_key = key

@@ -31,8 +31,12 @@ The run ends in one place, as soon as λ ≥ μ: "optimum" when a model is held,
 "unsatisfiable" when none is.
 
 Models only lower μ and proofs only raise λ, so a report that arrives after
-the master moved on still applies monotonically.  The whole-formula task of
-the gp linear-search worker uses task id -1.
+the master moved on still applies monotonically.
+
+A worker keeps one `CoreGuided` state for every task it takes: the
+`sss_msu3` worker runs `msu3` on it, a bound probe bin-c, and a path task
+`msu3` under its path until λ reaches the μ it was sent.  The gp lead's
+whole-formula task uses task id -1.
 """
 
 from __future__ import annotations
@@ -40,11 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import BoundSet, initial_bounds
-from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
-from .formula import WcnfFormula, cost, model_literals, relax
+from .formula import WcnfFormula, cost, model_literals
 from .lookahead import RESPLIT_CUTOFF, ROOT_CUTOFF, GuidingPath, PathGenerator
-from .sequential import HardUnsat, Optimum, linear_search, msu3
+from .sequential import CoreGuided, Optimum
 from .transport import Message
 
 WHOLE_FORMULA_TASK = -1
@@ -380,9 +383,8 @@ class WorkerNode:
         self.deadline = deadline
         self.clock = clock
         self.role: str | None = None
-        self.rf = relax(f)
         self.done = False
-        self._totalizer: Totalizer | None = None  # built on first use, kept for the run
+        self._state: CoreGuided | None = None  # built on first use, kept for the run
 
     def hello(self) -> None:
         self.send(Message("hello", self.wid, {"role": "worker"}))
@@ -410,57 +412,53 @@ class WorkerNode:
     def _report_done(self, task: int, lb: int) -> None:
         self.send(Message("report_done", self.wid, {"task": task, "lb": lb}))
 
+    def _core_guided(self) -> CoreGuided:
+        """The worker's one core-guided state, shared by every role and task,
+        so learned clauses, the relaxed set and its totalizer carry over."""
+        if self._state is None:
+            self._state = CoreGuided(self.f, seed=self.seed)
+        return self._state
+
     # ----------------------------------------------------------- sss workers
 
     def _run_msu3(self) -> None:
-        outcome = msu3(
-            self.f, on_lower_bound=self._report_lower_bound, seed=self.seed, deadline=self.deadline, clock=self.clock,
+        outcome = self._core_guided().msu3(
+            on_lower_bound=self._report_lower_bound, deadline=self.deadline, clock=self.clock,
         )
         if isinstance(outcome, Optimum):
             self._report_sat(outcome.cost, outcome.model)
             self._report_lower_bound(outcome.cost)
-        else:
-            self._report_lower_bound(self.f.num_soft + 1)
-
-    def _relaxed_totalizer(self) -> Totalizer:
-        """The worker's one engine over the relaxed formula and its totalizer
-        over every relaxation variable, shared by all its bound probes and
-        path tasks, so learned clauses and totalizer outputs carry over."""
-        if self._totalizer is None:
-            engine = Engine(self.rf.clauses, num_vars=self.rf.num_vars, seed=self.seed)
-            self._totalizer = Totalizer(engine, self.rf.relax_vars)
-        return self._totalizer
 
     def _test_bound(self, bound: int) -> None:
-        """One SAT call at Σ r <= bound: a model, or the proof λ > bound."""
-        totalizer = self._relaxed_totalizer()
-        result = totalizer.engine.solve(
-            totalizer.at_most(bound), deadline=self.deadline, clock=self.clock, model_vars=self.f.num_vars,
-        )
-        if isinstance(result, Sat):
-            self._report_sat(cost(self.f, result.model), result.model)
-            self._report_done(bound, 0)
-        else:
-            self._report_done(bound, bound + 1)
+        """bin-c: a model of cost <= bound, or the proof λ > bound.  A core
+        with soft clauses outside R retries the same bound with them relaxed;
+        one without used no enforced soft clause, so every model violates
+        more than `bound` of R."""
+        state = self._core_guided()
+        while True:
+            answer = state.call((), bound, deadline=self.deadline, clock=self.clock)
+            if isinstance(answer, Sat):
+                self._report_sat(cost(self.f, answer.model), answer.model)
+                self._report_done(bound, 0)
+                return
+            if not answer.softs:
+                self._report_done(bound, bound + 1)
+                return
 
     # ------------------------------------------------------------ gp workers
 
     def _solve_path(self, task: int, path, mu: int) -> None:
-        """Linear search under the path below μ; every model is reported."""
-        outcome = linear_search(
-            self._relaxed_totalizer(), self.f, min(mu - 1, self.f.num_soft), path=path,
-            on_improve=self._report_sat, deadline=self.deadline, clock=self.clock,
+        """`msu3` under the path until its λ reaches μ; the model it finds is
+        reported.  `report_done` carries the last λ that holds globally: μ,
+        or the model's cost, when no core used a path literal, and less, down
+        to 0, once one has."""
+        proven = [0]
+        outcome = self._core_guided().msu3(
+            path, stop=mu, on_lower_bound=proven.append, deadline=self.deadline, clock=self.clock,
         )
-        # A proof holds globally only when it used no path literal: an empty
-        # path, a final core that avoided the path, or hard clauses that are
-        # unsatisfiable by themselves.
         if isinstance(outcome, Optimum):
-            lb = 0 if path else outcome.cost
-        elif isinstance(outcome, HardUnsat) or outcome.proof_independent:
-            lb = mu
-        else:
-            lb = 0
-        self._report_done(task, lb)
+            self._report_sat(outcome.cost, outcome.model)
+        self._report_done(task, min(proven[-1], mu))
 
 
 # ----------------------------------------------------------------- simulation

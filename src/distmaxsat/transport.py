@@ -227,9 +227,13 @@ def listen(host: str, port: int, expected: int, deadline=None) -> tuple[list[Lin
     return channels, server
 
 
-def connect(host: str, port: int, retries: int = 50, delay: float = 0.1) -> LineChannel:
+def connect(host: str, port: int, retries: int = 50, delay: float = 0.1, deadline=None) -> LineChannel:
+    """Reach the master, trying `retries` times `delay` seconds apart.
+    Raises TimeoutError once `time.monotonic()` passes `deadline`."""
     last = None
     for _ in range(retries):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"master at {host}:{port} not reached before the deadline")
         try:
             sock = socket.create_connection((host, port), timeout=10)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

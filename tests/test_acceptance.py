@@ -12,7 +12,7 @@ import time
 import pytest
 
 from distmaxsat.bounds import BoundSet, initial_bounds
-from distmaxsat.cardinality import Totalizer, bound_assumptions, encode_totalizer
+from distmaxsat.cardinality import bound_assumptions, encode_totalizer
 from distmaxsat.engine import Engine, Sat, Unsat
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.lookahead import (
@@ -24,8 +24,9 @@ from distmaxsat.lookahead import (
     replay_theta_trace,
 )
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random, hard_models
-from distmaxsat.orchestration import run_sim
-from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_search, linear_su, msu3
+from distmaxsat.orchestration import WorkerNode, run_sim
+from distmaxsat.sequential import HardUnsat, Optimum, linear_su, msu3
+from distmaxsat.transport import Message
 
 
 def report(num: int, name: str) -> None:
@@ -218,14 +219,14 @@ def test_criterion_6_early_termination():
     soft = [[-1], [-2]] + [[v] for v in range(3, 11)]
     f = make_formula(10, hard, soft)
     expected = brute_force(f)
-    rf = relax(f)
     mu = 2
     for path in ([3], [3, -4], [5, 6, 7], [-3, 4, -5, 6]):
-        # What a gp path worker runs for `assign_path(path, mu)`.
-        totalizer = Totalizer(Engine(rf.clauses, num_vars=rf.num_vars), rf.relax_vars)
-        outcome = linear_search(totalizer, f, min(mu - 1, f.num_soft), path=path)
-        assert isinstance(outcome, NoImprovement)
-        assert outcome.proof_independent is True
+        # What a gp path worker sends for `assign_path(path, mu)`: no model
+        # below μ, and λ = μ as a global bound, since no core used the path.
+        sent = []
+        worker = WorkerNode("w1", f, send=sent.append)
+        worker.on_message(Message("assign_path", "master", {"task": 0, "path": path, "mu": mu}))
+        assert [(m.kind, m.payload) for m in sent] == [("report_done", {"task": 0, "lb": mu})]
     for seed in range(5):
         out = run_sim(f, "gp", num_workers=4, seed=seed)
         assert out.verdict.status == "optimum" and out.verdict.cost == expected

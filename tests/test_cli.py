@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -363,6 +364,17 @@ def test_worker_timeout_bounds_a_socket_worker(tmp_path, role):
     assert not thread.is_alive()
     assert result["code"] == 0
     assert result["out"].splitlines()[-1] == "c timeout"
+
+
+def test_worker_timeout_bounds_connecting_to_a_missing_master(instance, capsys):
+    """With no master listening, `--timeout 1` ends the worker's connect
+    retries: it is back within 2 s, says so, and exits 0."""
+    start = time.monotonic()
+    code, out, _ = run_cli([instance(EXAMPLE), "--mode", "worker", "--timeout", "1",
+                            "--connect", f"127.0.0.1:{free_port()}"], capsys)
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert out.splitlines()[-1] == "c timeout"
 
 
 def test_readme_library_example_runs_as_written():

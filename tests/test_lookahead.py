@@ -49,9 +49,12 @@ def test_reduction_score_zero_when_never_negated():
 
 
 def test_reduction_score_worked_formula():
-    # One clause is shortened from 3 to 2 by x3=0; weight(2) = 5 with l_max 3.
-    e = Engine([(1, 2, 3), (2, -3), (-1, 2)], num_vars=3)
+    # x3=0 shortens (3, 1, 2) from 3 to 2: weight(2) = 5 with l_max 3.  It
+    # also shortens (1, 2, 3), but that clause watches 1 and 2, not 3.
+    e = Engine([(3, 1, 2), (2, -3), (-1, 2)], num_vars=3)
     assert clause_reduction_score(e, {}, -3, l_max=3) == 5.0
+    e = Engine([(1, 2, 3), (2, -3), (-1, 2)], num_vars=3)
+    assert clause_reduction_score(e, {}, -3, l_max=3) == 0.0
 
 
 def test_reduction_score_requires_unassigned():
@@ -60,7 +63,9 @@ def test_reduction_score_requires_unassigned():
         clause_reduction_score(e, {1: True}, 1, l_max=2)
 
 
-def test_reduction_score_full_mode_matches_naive_rescan(rng):
+def test_reduction_score_matches_naive_rescan_of_watched_positions(rng):
+    # The clauses that hold ¬lit at a watched position (0 or 1), rescanned
+    # without the watch index.
     for _ in range(60):
         num_vars = rng.randint(3, 9)
         clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
@@ -74,12 +79,12 @@ def test_reduction_score_full_mode_matches_naive_rescan(rng):
         lit = rng.choice([free[0], -free[0]])
         got = clause_reduction_score(e, assigned, lit, l_max)
         expected = 0.0
-        for clause in clauses:
-            if -lit not in clause:
+        for clause in e.clauses:
+            if len(clause.lits) < 2 or -lit not in clause.lits[:2]:
                 continue
-            if any(assigned.get(abs(q)) == (q > 0) for q in clause):
+            if any(assigned.get(abs(q)) == (q > 0) for q in clause.lits):
                 continue
-            reduced = sum(1 for q in clause if abs(q) not in assigned and q != -lit)
+            reduced = sum(1 for q in clause.lits if abs(q) not in assigned and q != -lit)
             expected += 5.0 ** (l_max - reduced)
         assert got == expected
 

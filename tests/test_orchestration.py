@@ -4,9 +4,8 @@ from collections import Counter
 
 import pytest
 
-from distmaxsat.cardinality import Totalizer
 from distmaxsat.engine import Engine
-from distmaxsat.formula import cost, make_formula, relax
+from distmaxsat.formula import cost, make_formula
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
 from distmaxsat.orchestration import (
     GpMaster,
@@ -15,7 +14,7 @@ from distmaxsat.orchestration import (
     initial_upper_bound,
     run_sim,
 )
-from distmaxsat.sequential import NoImprovement, Optimum, linear_search
+from distmaxsat.sequential import msu3
 from distmaxsat.transport import Message, SimBus
 
 from conftest import pigeonhole
@@ -44,27 +43,104 @@ def test_initial_upper_bound_at_least_optimum():
             assert start is not None and start[0] >= opt
 
 
-def solve_path(path, mu, f):
-    """What a gp path worker runs for `assign_path(path, mu)`: `linear_search`
-    on one engine and totalizer over `relax(f)`."""
-    rf = relax(f)
-    totalizer = Totalizer(Engine(rf.clauses, num_vars=rf.num_vars), rf.relax_vars)
-    return linear_search(totalizer, f, min(mu - 1, f.num_soft), path=path)
+def answers(worker, kind, payload):
+    """What `worker` sends for one task: the costs of the models it reports
+    and the lb of its one `report_done`."""
+    sent = []
+    worker.send = sent.append
+    worker.on_message(Message(kind, "master", payload))
+    [lb] = [m.payload["lb"] for m in sent if m.kind == "report_done"]
+    return [m.payload["cost"] for m in sent if m.kind == "report_sat"], lb
+
+
+def solve_path(path, mu, f, worker=None):
+    """What a gp path worker sends for `assign_path(path, mu)`."""
+    return answers(worker or WorkerNode("w1", f, send=None), "assign_path", {"task": 0, "path": list(path), "mu": mu})
 
 
 def test_gp_worker_path_contradicting_hard_clauses():
     f = make_formula(2, [[1]], [[2]])
-    outcome = solve_path([-1], mu=1, f=f)
-    assert isinstance(outcome, NoImprovement)
-    assert outcome.proof_independent is False  # core must use the path literal
+    models, lb = solve_path([-1], mu=1, f=f)
+    assert models == []
+    assert lb == 0  # the core is the path literal alone: nothing holds globally
 
 
 def test_gp_worker_path_pinning_better_model():
     # Path forces the zero-cost corner; mu=2 allows improvement to 0.
     f = make_formula(2, [], [[1], [2]])
-    outcome = solve_path([1, 2], mu=2, f=f)
-    assert isinstance(outcome, Optimum)
-    assert outcome.cost == 0
+    models, lb = solve_path([1, 2], mu=2, f=f)
+    assert models == [0]
+    assert lb == 0
+
+
+def with_cube(f, cube):
+    """`f` with the cube's literals as hard units."""
+    return make_formula(f.num_vars, list(f.hard) + [[l] for l in cube], f.soft)
+
+
+def probe(worker, bound):
+    return answers(worker, "assign_bound", {"bound": bound})
+
+
+def random_cube(rng, f):
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, f.num_vars + 1), rng.randint(1, 3))]
+
+
+def small_draws(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_vars = rng.randint(3, 10)
+        f = gen_random(rng.randint(0, 10**7), num_vars, rng.randint(1, 2 * num_vars), rng.randint(1, 10),
+                       min(3, num_vars))
+        if brute_force(f) != HARD_UNSAT:
+            yield rng, f
+
+
+def check_probe(f, bound, models, lb):
+    opt = brute_force(f)
+    if opt <= bound:
+        assert len(models) == 1 and opt <= models[0] <= bound and lb == 0, (f, bound, models, lb)
+    else:
+        assert models == [] and lb == bound + 1, (f, bound, models, lb)
+
+
+def check_cell(f, cube, mu, models, lb):
+    """A cell below μ closes without a model exactly when no model under the
+    cube costs less than μ; a model it reports is the cube's best, and its lb
+    holds for the whole formula."""
+    best = brute_force(with_cube(f, cube))
+    if best != HARD_UNSAT and best < mu:
+        assert models == [best], (f, cube, mu, models)
+    else:
+        assert models == [], (f, cube, mu, models)
+    assert lb <= min(mu, brute_force(f)), (f, cube, mu, lb)
+
+
+def test_bound_probe_finds_a_model_exactly_when_the_optimum_is_within_it():
+    for case, (_rng, f) in enumerate(small_draws(21, 40)):
+        for bound in range(f.num_soft + 1):
+            check_probe(f, bound, *probe(WorkerNode("w1", f, send=None, seed=case), bound))
+
+
+def test_cell_below_mu_closes_without_a_model_exactly_when_the_cube_has_none_cheaper():
+    for case, (rng, f) in enumerate(small_draws(22, 40)):
+        for _ in range(4):
+            cube, mu = random_cube(rng, f), rng.randint(1, f.num_soft + 1)
+            check_cell(f, cube, mu, *solve_path(cube, mu, f, WorkerNode("w1", f, send=None, seed=case)))
+
+
+def test_relaxed_set_carried_across_tasks_with_different_cubes_stays_sound():
+    """One worker takes probes and cells in turn, so each task starts from the
+    relaxed set, totalizer and learned clauses of the ones before."""
+    for case, (rng, f) in enumerate(small_draws(23, 40)):
+        worker = WorkerNode("w1", f, send=None, seed=case)
+        for _ in range(8):
+            if rng.random() < 0.3:
+                bound = rng.randint(0, f.num_soft)
+                check_probe(f, bound, *probe(worker, bound))
+            else:
+                cube, mu = random_cube(rng, f), rng.randint(1, f.num_soft + 1)
+                check_cell(f, cube, mu, *solve_path(cube, mu, f, worker))
 
 
 def sim_and_check(f, algo, workers, seed):
@@ -154,9 +230,7 @@ def early_termination_formula():
 def test_path_worker_core_excludes_path_literals():
     f = early_termination_formula()
     for path in ([3], [3, -4], [5, 6, 7]):
-        outcome = solve_path(path, mu=2, f=f)
-        assert isinstance(outcome, NoImprovement)
-        assert outcome.proof_independent is True
+        assert solve_path(path, mu=2, f=f) == ([], 2)  # no model below μ, and λ = μ holds globally
 
 
 def test_gp_early_termination_on_proof_independent_core():
@@ -484,8 +558,9 @@ def test_gp_publishes_the_hard_clause_model_before_any_path(monkeypatch):
     assert "assign_path" in events
 
 
-def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
-    """Task -1 and every path a worker takes share one engine."""
+def engines_and_tasks(monkeypatch, f, algo, workers, seed):
+    """Run a sim; count the engines each worker builds and the tasks
+    (assign_bound, assign_path, or the sss_msu3 hello) it handles."""
     handling = []  # the worker whose message is being handled
     engines, tasks = Counter(), Counter()
     init = Engine.__init__
@@ -498,7 +573,7 @@ def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
     on_message = WorkerNode.on_message
 
     def traced(node, msg):
-        if msg.kind == "assign_path":
+        if msg.kind in ("assign_bound", "assign_path") or msg.payload.get("role") == "sss_msu3":
             tasks[node.wid] += 1
         handling.append(node.wid)
         try:
@@ -508,10 +583,25 @@ def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
 
     monkeypatch.setattr(Engine, "__init__", spied_init)
     monkeypatch.setattr(WorkerNode, "on_message", traced)
-    f = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
-    outcome = run_sim(f, "gp", num_workers=2, seed=1)
+    outcome = run_sim(f, algo, num_workers=workers, seed=seed)
     assert outcome.verdict.cost == brute_force(f)
+    return engines, tasks
+
+
+def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
+    """Task -1 and every path a worker takes share one engine."""
+    f = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
+    engines, tasks = engines_and_tasks(monkeypatch, f, "gp", workers=2, seed=1)
     assert tasks["w1"] == 1 and tasks["w2"] >= 3, tasks
+    assert engines == Counter({wid: 1 for wid in tasks}), (engines, tasks)
+
+
+def test_an_sss_worker_builds_one_engine_for_all_its_roles(monkeypatch):
+    """The msu3 worker builds one engine, and every probe a helper takes
+    runs on that helper's one engine."""
+    f = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
+    engines, tasks = engines_and_tasks(monkeypatch, f, "sss", workers=3, seed=1)
+    assert tasks["w1"] == 1 and tasks["w2"] + tasks["w3"] >= 3, tasks
     assert engines == Counter({wid: 1 for wid in tasks}), (engines, tasks)
 
 
@@ -538,13 +628,13 @@ SSS_TRACE_DIGESTS = [
     ((1000, 10, 22, 20), 3, 0, "21b269b3de53ce82"),
     ((1001, 12, 26, 24), 2, 1, "20476f15b5eb2b06"),
     ((1001, 12, 26, 24), 3, 1, "1103c7f77d5ecd6e"),
-    ((1002, 14, 31, 28), 2, 2, "12ed8f1be388c6d5"),
-    ((1002, 14, 31, 28), 3, 2, "bf94278c5ea28fe7"),
+    ((1002, 14, 31, 28), 2, 2, "709d8b52ec644f3b"),
+    ((1002, 14, 31, 28), 3, 2, "1a440a36b125fb3c"),
     ((1003, 16, 35, 32), 2, 3, "4d34773d27c9408a"),
     ((1003, 16, 35, 32), 3, 3, "43974d78b7beb1ac"),
-    ((6, 30, 66, 60), 3, 6, "a30421302979c544"),
-    ("pigeonhole(2)", 2, 7, "e42eaada7751a294"),
-    ("pigeonhole(2)", 3, 7, "cecf3c0fc487cd36"),
+    ((6, 30, 66, 60), 3, 6, "1afd6cd38ed97bb6"),
+    ("pigeonhole(2)", 2, 7, "324480855a15c1cb"),
+    ("pigeonhole(2)", 3, 7, "41b9c41778e4307c"),
 ]
 
 
@@ -555,19 +645,35 @@ GP_TRACE_DIGESTS = [
     ((1000, 10, 22, 20), 3, 0, "f92c187a722b4645"),
     ((1001, 12, 26, 24), 2, 1, "58460f49edac536d"),
     ((1001, 12, 26, 24), 3, 1, "06ce45cf15f9a113"),
-    ((1002, 14, 31, 28), 2, 2, "d04ded941c16068f"),
-    ((1002, 14, 31, 28), 3, 2, "cbcd465d8862e5c0"),
+    ((1002, 14, 31, 28), 2, 2, "50a276aa75dc4a67"),
+    ((1002, 14, 31, 28), 3, 2, "c4891369f6f5e6a8"),
     ((1003, 16, 35, 32), 2, 3, "12fafa356fd48a50"),
     ((1003, 16, 35, 32), 3, 3, "18ea825b4ebc95c1"),
-    ((6, 30, 66, 60), 3, 6, "de16973840a91055"),
-    ("pigeonhole(2)", 2, 7, "bea1c2e0092b84eb"),
-    ("pigeonhole(2)", 3, 7, "f0442dffa040999a"),
+    ((6, 30, 66, 60), 3, 6, "79f6e0995f319bc1"),
+    ("pigeonhole(2)", 2, 7, "837ced554a6e1bf3"),
+    ("pigeonhole(2)", 3, 7, "e8ddcbec68e78fd2"),
 ]
 
 
+# msu3 alone on the same draws: (cost, conflicts summed over its engines).
+# The sss msu3 worker and gp path tasks share its loop; its own search must
+# not move when theirs do.
+MSU3_PINS = [
+    ((1000, 10, 22, 20), 0, 3, 2),
+    ((1001, 12, 26, 24), 1, 6, 11),
+    ((1002, 14, 31, 28), 2, 6, 9),
+    ((1003, 16, 35, 32), 3, 8, 7),
+    ((6, 30, 66, 60), 6, 13, 20),
+    ("pigeonhole(2)", 7, 2, 65),
+]
+
+
+def draw_formula(draw):
+    return pigeonhole(2) if draw == "pigeonhole(2)" else gen_random(*draw, clause_len=3)
+
+
 def trace_digest(algo, draw, workers, seed):
-    f = pigeonhole(2) if draw == "pigeonhole(2)" else gen_random(*draw, clause_len=3)
-    outcome = run_sim(f, algo, num_workers=workers, seed=seed)
+    outcome = run_sim(draw_formula(draw), algo, num_workers=workers, seed=seed)
     return hashlib.sha256(b"\n".join(outcome.trace)).hexdigest()[:16]
 
 
@@ -579,3 +685,17 @@ def test_sss_sim_trace_is_pinned(draw, workers, seed, digest):
 @pytest.mark.parametrize("draw,workers,seed,digest", GP_TRACE_DIGESTS)
 def test_gp_sim_trace_is_pinned(draw, workers, seed, digest):
     assert trace_digest("gp", draw, workers, seed) == digest
+
+
+@pytest.mark.parametrize("draw,seed,expected_cost,conflicts", MSU3_PINS)
+def test_msu3_search_is_pinned(monkeypatch, draw, seed, expected_cost, conflicts):
+    engines = []
+    init = Engine.__init__
+
+    def spied_init(engine, *args, **kwargs):
+        engines.append(engine)
+        return init(engine, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "__init__", spied_init)
+    outcome = msu3(draw_formula(draw), seed=seed)
+    assert (outcome.cost, sum(e.conflicts for e in engines)) == (expected_cost, conflicts)

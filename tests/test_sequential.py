@@ -1,10 +1,9 @@
 import random
 
-from distmaxsat.cardinality import Totalizer
-from distmaxsat.engine import Engine
+from distmaxsat.engine import Sat
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
-from distmaxsat.sequential import HardUnsat, NoImprovement, Optimum, linear_search, linear_su, msu3
+from distmaxsat.sequential import Core, CoreGuided, HardUnsat, Optimum, linear_su, msu3
 
 
 def test_linear_su_two_var_example():
@@ -20,33 +19,47 @@ def test_linear_su_hard_unsat():
     assert isinstance(linear_su(relax(f)), HardUnsat)
 
 
-def search_under_path(f, bound, path):
-    """`linear_su`'s loop as a gp path task runs it: `linear_search` from
-    `bound` under `path`, on one engine and totalizer over `relax(f)`."""
-    rf = relax(f)
-    totalizer = Totalizer(Engine(rf.clauses, num_vars=rf.num_vars), rf.relax_vars)
-    return linear_search(totalizer, f, bound, path=path)
+def cell(f, cube, stop):
+    """`msu3` under `cube` until λ reaches `stop`, as a gp path cell runs it:
+    the outcome and the λ reports that hold for `f` as a whole."""
+    reports = []
+    outcome = CoreGuided(f).msu3(cube, stop=stop, on_lower_bound=reports.append)
+    return outcome, reports
 
 
-def test_linear_su_no_improvement_under_path():
-    # Bound 0 forbids any violation; under path [1] the soft (-1) must break.
+def test_cell_under_path_stops_at_mu_without_model():
+    # Below μ = 1 no violation is allowed; under path [1] the soft (-1) must break.
     f = make_formula(1, [], [[-1]])
-    outcome = search_under_path(f, 0, [1])
-    assert isinstance(outcome, NoImprovement)
+    outcome, reports = cell(f, [1], stop=1)
+    assert outcome is None
+    assert reports == []  # the core used the path literal
 
 
-def test_linear_su_proof_independence_flag():
-    # Bound 0 is globally impossible: (x1) and (-x1) cannot both hold.
+def test_cell_reports_only_lower_bounds_that_avoid_the_path():
+    # λ = 1 holds globally: (x1) and (-x1) cannot both hold.
     f = make_formula(2, [], [[1], [-1]])
-    outcome = search_under_path(f, 0, [2])
-    assert isinstance(outcome, NoImprovement)
-    assert outcome.proof_independent is True
+    outcome, reports = cell(f, [2], stop=1)
+    assert outcome is None
+    assert reports == [1]
 
     # Here the path itself is the only obstacle, so the core must use it.
     g = make_formula(1, [], [[-1]])
-    outcome = search_under_path(g, 0, [1])
-    assert isinstance(outcome, NoImprovement)
-    assert outcome.proof_independent is False
+    outcome, reports = cell(g, [1], stop=1)
+    assert outcome is None
+    assert reports == []
+
+
+def test_one_input_totalizer_output_is_the_bound_not_a_new_soft():
+    # Soft (x1) against hard (-x1).  The first call relaxes (x1); at b = 0 the
+    # totalizer over R = {r} has r itself as its output, so the next core,
+    # {-r}, is the bound literal, not a soft clause to add to R again.
+    f = make_formula(1, [[-1]], [[1]])
+    state = CoreGuided(f)
+    [r] = state.relax_vars
+    assert state.call((), 0) == Core((r,), bound=False, cube=False)
+    assert state.call((), 0) == Core((), bound=True, cube=False)
+    assert state.relaxed == {r}
+    assert isinstance(state.call((), 1), Sat)
 
 
 def test_linear_su_reports_improvements_strictly_decreasing():
