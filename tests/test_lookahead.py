@@ -63,9 +63,9 @@ def test_reduction_score_requires_unassigned():
         clause_reduction_score(e, {1: True}, 1, l_max=2)
 
 
-def test_reduction_score_matches_naive_rescan_of_watched_positions(rng):
-    # The clauses that hold ¬lit at a watched position (0 or 1), rescanned
-    # without the watch index.
+def test_reduction_score_full_mode_matches_naive_rescan(rng):
+    # A full rescan of every clause, without the watch index, keeping those
+    # that hold ¬lit at a watched position (0 or 1).
     for _ in range(60):
         num_vars = rng.randint(3, 9)
         clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))

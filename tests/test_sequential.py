@@ -27,7 +27,9 @@ def cell(f, cube, stop):
     return outcome, reports
 
 
-def test_cell_under_path_stops_at_mu_without_model():
+def test_linear_su_no_improvement_under_path():
+    # A gp path task's search under its path, which finds no model cheaper
+    # than μ: the cell loop on `CoreGuided.msu3`.
     # Below μ = 1 no violation is allowed; under path [1] the soft (-1) must break.
     f = make_formula(1, [], [[-1]])
     outcome, reports = cell(f, [1], stop=1)
@@ -35,7 +37,9 @@ def test_cell_under_path_stops_at_mu_without_model():
     assert reports == []  # the core used the path literal
 
 
-def test_cell_reports_only_lower_bounds_that_avoid_the_path():
+def test_linear_su_proof_independence_flag():
+    # Whether a path task's "no improvement" holds without the path: the cell
+    # loop reports λ only from cores that avoid every path literal.
     # λ = 1 holds globally: (x1) and (-x1) cannot both hold.
     f = make_formula(2, [], [[1], [-1]])
     outcome, reports = cell(f, [2], stop=1)
