@@ -11,14 +11,20 @@ lie in [λ, μ-1], and λ only rises and μ only falls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class BoundSet:
-    lam: int  # proven lower bound
-    mu: int  # best known upper bound (cost of some model)
-    bounds: list[int] = field(default_factory=list)  # sorted, distinct
+    def __init__(self, lam: int, mu: int, bounds: list[int] | None = None):
+        self.lam = lam  # proven lower bound
+        self.mu = mu  # best known upper bound (cost of some model)
+        self.bounds = [] if bounds is None else bounds  # sorted, distinct
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundSet):
+            return NotImplemented
+        return (self.lam, self.mu, self.bounds) == (other.lam, other.mu, other.bounds)
+
+    def __repr__(self):
+        return f"BoundSet(lam={self.lam}, mu={self.mu}, bounds={self.bounds})"
 
     def _insert(self, b: int) -> None:
         if b not in self.bounds:

@@ -13,25 +13,16 @@ keeps one tree inside one engine and grows it on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
+
+# `outputs`: min(size, k+1) counter outputs, a leaf's being its input;
+# `left`/`right`: subtrees (None at a leaf); `size`: inputs below the node.
+_Node = namedtuple("_Node", "outputs left right size")
 
 
-class _Node(NamedTuple):
-    outputs: tuple[int, ...]  # min(size, k+1) counter outputs; a leaf's is its input
-    left: _Node | None
-    right: _Node | None
-    size: int  # inputs below this node
-
-
-@dataclass(frozen=True)
-class AtMostEncoding:
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-    aux_vars: range  # the variables this step introduced
-    clauses: tuple[tuple[int, ...], ...]  # the clauses this step emitted
-    k: int
-    root: _Node = field(repr=False, compare=False)
+# The tree over all `inputs` so far, with its root's `outputs` and bound `k`;
+# `aux_vars` (a range) and `clauses` are this step's only.
+AtMostEncoding = namedtuple("AtMostEncoding", "inputs outputs aux_vars clauses k root")
 
 
 def encode_totalizer(inputs, fresh_from: int, k: int | None = None, base: AtMostEncoding | None = None) -> AtMostEncoding:

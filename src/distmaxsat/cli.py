@@ -6,22 +6,19 @@ MaxSAT evaluation conventions: "c" comments, an "o <cost>" line per
 improvement, a final "s" status line and a "v" model line.
 
 Exit codes: 30 optimum found, 20 unsatisfiable, 10 timed out with a model in
-hand, 0 timed out or unknown, 1 usage or input errors.
+hand, 0 timed out or unknown, 1 usage, input or connection errors.
+
+Each mode imports only the modules it runs: every process pays to load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import selectors
 import sys
 import time
 
-from .formula import WcnfError, cost, model_literals, parse_wcnf
-from .lookahead import dump_paths
-from .orchestration import GpMaster, SssMaster, Verdict, WorkerNode, run_sim
+from .formula import WcnfError, cost, model_literals, parse_wcnf, relax
 from .sequential import HardUnsat, Optimum, linear_su, msu3
-from .formula import relax
-from .transport import MessageError, connect, listen
 
 EXIT_OPTIMUM = 30
 EXIT_UNSAT = 20
@@ -116,11 +113,13 @@ def _run_standalone(args, f, reporter, deadline) -> int:
 
 
 def _run_sim(args, f, reporter, deadline) -> int:
+    from .orchestration import run_sim
     outcome = run_sim(
         f, args.algo, num_workers=args.workers, seed=args.seed,
         on_improve=reporter.improve, deadline=deadline, clock=time.monotonic,
     )
     if args.dump_paths and args.algo == "gp" and hasattr(outcome.master, "generated_paths"):
+        from .lookahead import dump_paths
         with open(args.dump_paths, "w", encoding="utf-8") as fh:
             fh.write(dump_paths(outcome.master.generated_paths))
     if outcome.verdict.status == "unknown":
@@ -130,12 +129,18 @@ def _run_sim(args, f, reporter, deadline) -> int:
 
 
 def _run_master(args, f, reporter, deadline) -> int:
+    import selectors
+    from .orchestration import GpMaster, SssMaster, Verdict
+    from .transport import MessageError, listen
     host, port = _parse_addr(args.listen)
     try:
         channels, server = listen(host, port, expected=args.workers, deadline=deadline)
     except TimeoutError:
         print("c timeout", file=reporter.out)
         return reporter.finish("unknown")
+    except OSError as exc:
+        print(f"error: cannot listen on {args.listen}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     ids = [f"w{i}" for i in range(1, len(channels) + 1)]
     by_id = dict(zip(ids, channels))
     # A broken link is handled between master calls, never inside one.
@@ -194,6 +199,8 @@ def _run_master(args, f, reporter, deadline) -> int:
 
 
 def _run_worker(args, f, deadline) -> int:
+    from .orchestration import WorkerNode
+    from .transport import connect
     host, port = _parse_addr(args.connect)
     chan = None
     try:
@@ -211,6 +218,9 @@ def _run_worker(args, f, deadline) -> int:
         print("c timeout", file=sys.stdout)
     except (BrokenPipeError, ConnectionResetError):
         pass  # the master has closed the connection: the run is over
+    except OSError as exc:  # the master was never reached, or the link failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         if chan is not None:
             chan.close()

@@ -43,7 +43,7 @@ CPython a method call per literal costs more than the work it wraps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 VAR_ACT_DECAY = 0.95
 LUBY_UNIT = 100
@@ -63,24 +63,16 @@ class Clause:
         return f"Clause({self.lits}{', learned' if self.learned else ''})"
 
 
-@dataclass(frozen=True)
-class Sat:
-    model: dict[int, bool]
+Sat = namedtuple("Sat", "model")  # variable -> bool
+Unsat = namedtuple("Unsat", "core")  # the frozenset of assumptions that cannot all hold
 
 
-@dataclass(frozen=True)
-class Unsat:
-    core: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Implied:
+class Implied(namedtuple("Implied", "literals")):
     """Unit-propagation closure of the given decisions (decisions excluded)."""
 
-    literals: frozenset[int]
+    __slots__ = ()
 
 
-@dataclass
 class Conflict:
     """A live conflict left on the trail for `analyze_and_learn`.
 
@@ -89,11 +81,14 @@ class Conflict:
     contradiction.
     """
 
-    clause: tuple[int, ...] | None
-    level: int
-    trail: tuple[int, ...]
-    _obj: Clause | None = field(default=None, repr=False)
-    _token: int = field(default=-1, repr=False)
+    __slots__ = ("clause", "level", "trail", "_obj", "_token")
+
+    def __init__(self, clause, level: int, trail: tuple[int, ...], _obj: Clause | None = None, _token: int = -1):
+        self.clause = clause
+        self.level = level
+        self.trail = trail
+        self._obj = _obj
+        self._token = _token
 
 
 def luby(i: int) -> int:

@@ -8,7 +8,7 @@ safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class WcnfError(ValueError):
@@ -31,21 +31,18 @@ def normalize_clause(lits, num_vars: int) -> tuple[int, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class WcnfFormula:
-    """A partial MaxSAT instance: hard clauses plus unit-weight soft clauses."""
+class WcnfFormula(namedtuple("WcnfFormula", "num_vars hard soft")):
+    """A partial MaxSAT instance: hard clauses plus unit-weight soft clauses,
+    each a tuple of clauses."""
 
-    num_vars: int
-    hard: tuple[tuple[int, ...], ...]
-    soft: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def num_soft(self) -> int:
         return len(self.soft)
 
 
-@dataclass(frozen=True)
-class RelaxedFormula:
+class RelaxedFormula(namedtuple("RelaxedFormula", "base clauses relax_vars")):
     """The relaxation of a WcnfFormula.
 
     Each soft clause gets a fresh relaxation variable appended; setting that
@@ -53,9 +50,7 @@ class RelaxedFormula:
     (hard clauses followed by the extended soft clauses).
     """
 
-    base: WcnfFormula
-    clauses: tuple[tuple[int, ...], ...]
-    relax_vars: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def num_vars(self) -> int:

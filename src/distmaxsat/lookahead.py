@@ -25,8 +25,7 @@ hard clauses.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .engine import Conflict, Engine, Implied
 
@@ -37,22 +36,25 @@ CUTOFF_SHRINK = 0.70
 DEPTH_GUARD = 25
 
 
-@dataclass(frozen=True)
-class GuidingPath:
-    decisions: tuple[int, ...]
-    gen_index: int
-    parent_index: int | None = None
+class GuidingPath(namedtuple("GuidingPath", "decisions gen_index parent_index", defaults=(None,))):
+    """A cube of decision literals, numbered in generation order; a path
+    from a resplit names the path it splits as `parent_index`."""
+
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
         return len(self.decisions)
 
 
-@dataclass
 class GenerationResult:
-    paths: list[GuidingPath]
-    root_conflict: bool
-    trace: list[tuple[str, float]]
+    """One `generate` call: its paths, whether the root conflicted, and its
+    trace of (event, θ) pairs."""
+
+    def __init__(self, paths: list[GuidingPath], root_conflict: bool, trace: list[tuple[str, float]]):
+        self.paths = paths
+        self.root_conflict = root_conflict
+        self.trace = trace
 
 
 def rank_key(pos_score: float, neg_score: float, var: int):

@@ -41,12 +41,11 @@ whole-formula task uses task id -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import BoundSet, initial_bounds
 from .engine import Engine, Sat, Unsat
 from .formula import WcnfFormula, cost, model_literals
-from .lookahead import RESPLIT_CUTOFF, ROOT_CUTOFF, GuidingPath, PathGenerator
 from .sequential import CoreGuided, Optimum
 from .transport import Message
 
@@ -56,11 +55,8 @@ WHOLE_FORMULA_TASK = -1
 PATHS_PER_WORKER = 4
 
 
-@dataclass
-class Verdict:
-    status: str  # "optimum" | "unsatisfiable" | "unknown"
-    cost: int | None = None
-    model: dict[int, bool] | None = None
+# status: "optimum" | "unsatisfiable" | "unknown"; the best model held and its cost, if any
+Verdict = namedtuple("Verdict", "status cost model", defaults=(None, None))
 
 
 def initial_upper_bound(f: WcnfFormula, seed: int = 0):
@@ -75,15 +71,12 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
 # --------------------------------------------------------------------- master
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(namedtuple("Task", "id cap path", defaults=(None,))):
     """A worker's one live task: a bound probe (`path` None, `id` the bound)
-    or a guiding path (`id` its generation index).  `cap` is the most its
+    or a `GuidingPath` (`id` its generation index).  `cap` is the most its
     `report_done` may prove: bound+1 for a probe, the μ sent for a path."""
 
-    id: int
-    cap: int
-    path: GuidingPath | None = None
+    __slots__ = ()
 
 
 class MasterBase:
@@ -280,26 +273,28 @@ class SssMaster(MasterBase):
 
 
 class GpMaster(MasterBase):
-    """Guiding paths: a queue of lookahead cubes plus one full linear search."""
+    """Guiding paths: a queue of lookahead cubes plus one full linear search.
+    Only this master imports `lookahead`."""
 
     LEAD_ROLE = "gp_linear"
     ROLE = "gp_solver"
 
     def __init__(self, f, worker_ids, send, seed: int = 0):
         super().__init__(f, worker_ids, send, seed)
-        self.generator: PathGenerator | None = None
-        self.pending: list[GuidingPath] = []
+        self.generator = None  # a lookahead.PathGenerator, built in _begin
+        self.pending = []  # guiding paths waiting for a worker
         self.resplit_done: set[int] = set()
         self.terminated_early = False
         self.pending_at_termination = 0
         self.idle: list[str] = []  # helpers without a task, first in, first out
-        self.generated_paths: list[GuidingPath] = []
+        self.generated_paths = []
 
     def _begin(self) -> None:
         # The full linear search starts first so it can improve μ while the
         # master is busy generating the root paths.  The hard clauses have a
         # model, so the root cannot conflict and the path that model agrees
         # with is never pruned: at least one path comes back.
+        from .lookahead import ROOT_CUTOFF, GuidingPath, PathGenerator
         whole = GuidingPath(decisions=(), gen_index=WHOLE_FORMULA_TASK)
         self._assign(self.worker_ids[0], Task(WHOLE_FORMULA_TASK, self.window.mu, whole))
         self.generator = PathGenerator(self.f.hard, self.f.soft, num_vars=self.f.num_vars, seed=self.seed)
@@ -339,6 +334,7 @@ class GpMaster(MasterBase):
         if task is None:
             return
         self.resplit_done.add(task.id)
+        from .lookahead import RESPLIT_CUTOFF
         result = self.generator.generate(
             d0=task.path.decisions, theta0=RESPLIT_CUTOFF, parent_index=task.id, max_paths=self._path_budget()
         )
@@ -464,13 +460,7 @@ class WorkerNode:
 # ----------------------------------------------------------------- simulation
 
 
-@dataclass
-class SimOutcome:
-    verdict: Verdict
-    improvements: list[int]
-    audit: list
-    trace: list[bytes]
-    master: MasterBase
+SimOutcome = namedtuple("SimOutcome", "verdict improvements audit trace master")
 
 
 def run_sim(

@@ -9,22 +9,29 @@ guiding paths too), so learned clauses, R and the totalizer carry over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cardinality import Totalizer
 from .engine import Engine, Sat, Unsat
 from .formula import RelaxedFormula, WcnfFormula, cost, relax
 
 
-@dataclass(frozen=True)
-class Optimum:
-    cost: int
-    model: dict[int, bool]
+Optimum = namedtuple("Optimum", "cost model")
 
 
-@dataclass(frozen=True)
 class HardUnsat:
-    pass
+    """The hard clauses have no model."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, HardUnsat)
+
+    def __hash__(self):
+        return 0
+
+    def __repr__(self):
+        return "HardUnsat()"
 
 
 OptOutcome = Optimum | HardUnsat
@@ -56,15 +63,12 @@ def linear_su(rf: RelaxedFormula, on_improve=None, seed: int = 0, deadline=None,
         bound = found - 1
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(namedtuple("Core", "softs bound cube")):
     """An unsat `CoreGuided.call`: `softs`, its soft clauses outside R (now in
     R); `bound`, it holds the at-most literal; `cube`, it holds a cube
     literal.  None of the three: the hard clauses alone are unsatisfiable."""
 
-    softs: tuple[int, ...]
-    bound: bool
-    cube: bool
+    __slots__ = ()
 
 
 class CoreGuided:

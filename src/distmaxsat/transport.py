@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 
 class MessageError(ValueError):
@@ -34,22 +33,24 @@ SCHEMA: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Message:
-    kind: str
-    sender: str
-    payload: dict = field(default_factory=dict)
+class Message(namedtuple("Message", "kind sender payload")):
+    """One protocol message; its payload must hold exactly the fields
+    `SCHEMA` lists for its kind (none by default)."""
 
-    def __post_init__(self):
-        if self.kind not in SCHEMA:
-            raise MessageError(f"unknown message kind: {self.kind}")
-        want = SCHEMA[self.kind]
-        missing = set(want) - set(self.payload)
-        extra = set(self.payload) - set(want)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, sender: str, payload: dict | None = None):
+        payload = {} if payload is None else payload
+        if kind not in SCHEMA:
+            raise MessageError(f"unknown message kind: {kind}")
+        want = SCHEMA[kind]
+        missing = set(want) - set(payload)
+        extra = set(payload) - set(want)
         if missing:
-            raise MessageError(f"{self.kind}: missing field(s) {sorted(missing)}")
+            raise MessageError(f"{kind}: missing field(s) {sorted(missing)}")
         if extra:
-            raise MessageError(f"{self.kind}: unexpected field(s) {sorted(extra)}")
+            raise MessageError(f"{kind}: unexpected field(s) {sorted(extra)}")
+        return super().__new__(cls, kind, sender, payload)
 
 
 def _encode_value(ftype: str, value) -> str:
@@ -227,11 +228,13 @@ def listen(host: str, port: int, expected: int, deadline=None) -> tuple[list[Lin
     return channels, server
 
 
-def connect(host: str, port: int, retries: int = 50, delay: float = 0.1, deadline=None) -> LineChannel:
-    """Reach the master, trying `retries` times `delay` seconds apart.
-    Raises TimeoutError once `time.monotonic()` passes `deadline`."""
-    last = None
-    for _ in range(retries):
+def connect(host: str, port: int, deadline=None) -> LineChannel:
+    """Reach the master, which may not listen yet: retry after pauses that
+    start at 5 ms and double up to 0.1 s, and raise ConnectionError once they
+    add up to 5 s.  Raises TimeoutError once `time.monotonic()` passes
+    `deadline`."""
+    pause, waited = 0.005, 0.0
+    while True:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"master at {host}:{port} not reached before the deadline")
         try:
@@ -239,6 +242,8 @@ def connect(host: str, port: int, retries: int = 50, delay: float = 0.1, deadlin
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return LineChannel(sock)
         except OSError as exc:
-            last = exc
-            time.sleep(delay)
-    raise ConnectionError(f"could not reach master at {host}:{port}: {last}")
+            if waited >= 5.0:
+                raise ConnectionError(f"could not reach master at {host}:{port}: {exc}") from None
+        time.sleep(pause)
+        waited += pause
+        pause = min(2 * pause, 0.1)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -400,3 +401,61 @@ def test_solver_never_imports_numpy(instance):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 30, proc.stderr
     assert "s OPTIMUM FOUND" in proc.stdout
+
+
+def test_each_mode_imports_only_the_code_it_runs(instance):
+    """A standalone solve loads no distributed code, no dataclasses and no
+    sockets, and a worker or a sim sss solve no lookahead (fresh interpreter;
+    only modules loaded after start-up count)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import json, sys\n"
+        "start = set(sys.modules)\n"
+        "import distmaxsat\n"
+        "from distmaxsat.cli import main\n"
+        f"code = main([{instance(EXAMPLE)!r}, '--algo', 'linear'])\n"
+        "standalone = sorted(set(sys.modules) - start)\n"
+        "from distmaxsat.orchestration import WorkerNode\n"
+        "worker = sorted(set(sys.modules) - start)\n"
+        f"sim_code = main([{instance(EXAMPLE)!r}, '--algo', 'sss', '--mode', 'sim'])\n"
+        "sim = sorted(set(sys.modules) - start)\n"
+        "print(json.dumps([code, standalone, worker, sim_code, sim]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, standalone, worker, sim_code, sim = json.loads(proc.stdout.splitlines()[-1])
+    assert code == sim_code == 30
+    unneeded = {"dataclasses", "distmaxsat.orchestration", "distmaxsat.transport", "distmaxsat.lookahead",
+                "socket", "selectors"}
+    assert unneeded.intersection(standalone) == set()
+    assert "distmaxsat.orchestration" in worker and "distmaxsat.lookahead" not in worker + sim
+
+
+def test_unreachable_master_ends_in_one_error_line(instance, capsys, monkeypatch):
+    """With no master and no --timeout a worker retries, its pauses doubling
+    from a few ms to 0.1 s for about 5 s, then reports one error line."""
+    from distmaxsat import transport
+
+    pauses = []
+    monkeypatch.setattr(transport.time, "sleep", pauses.append)
+    code, out, err = run_cli([instance(EXAMPLE), "--mode", "worker",
+                              "--connect", f"127.0.0.1:{free_port()}"], capsys)
+    assert code == 1
+    assert err.splitlines() == [err.strip()] and err.startswith("error: could not reach master at 127.0.0.1:")
+    assert "Traceback" not in out + err
+    assert pauses[0] <= 0.01 and max(pauses) == 0.1
+    assert all(b == min(2 * a, 0.1) for a, b in zip(pauses, pauses[1:]))
+    assert 4.9 <= sum(pauses) <= 5.2
+
+
+def test_master_on_a_taken_port_ends_in_one_error_line(instance, capsys):
+    import socket as socketlib
+
+    with socketlib.create_server(("127.0.0.1", 0)) as taken:
+        addr = f"127.0.0.1:{taken.getsockname()[1]}"
+        code, out, err = run_cli([instance(EXAMPLE), "--algo", "sss", "--mode", "master", "--workers", "1",
+                                  "--listen", addr], capsys)
+    assert code == 1
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: cannot listen on {addr}:")
+    assert "Traceback" not in out + err
