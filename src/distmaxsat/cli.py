@@ -8,6 +8,13 @@ improvement, a final "s" status line and a "v" model line.
 Exit codes: 30 optimum found, 20 unsatisfiable, 10 timed out with a model in
 hand, 0 timed out or unknown, 1 usage, input or connection errors.
 
+A socket master answers before any worker is there: its first "o" line is
+the model of the hard clauses, or it prints "s UNSATISFIABLE" when there is
+none.  It begins with the workers that have connected and said hello, and
+later ones join as helpers.  After printing its result it keeps listening
+until all `--workers` have connected, or `--timeout` passes, and answers
+each with terminate.
+
 Each mode imports only the modules it runs: every process pays to load them.
 """
 
@@ -45,8 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_addr(text: str) -> tuple[str, int]:
+def _parse_addr(text: str) -> tuple[str, int] | None:
+    """HOST:PORT as (host, port), the host 127.0.0.1 when left out; None
+    when the port is not a number from 0 to 65535."""
     host, _, port = text.rpartition(":")
+    if not (port.isdecimal() and int(port) <= 65535):
+        return None
     return host or "127.0.0.1", int(port)
 
 
@@ -128,21 +139,17 @@ def _run_sim(args, f, reporter, deadline) -> int:
     return reporter.finish(outcome.verdict.status)
 
 
-def _run_master(args, f, reporter, deadline) -> int:
+def _run_master(args, f, reporter, addr, deadline) -> int:
     import selectors
-    from .orchestration import GpMaster, SssMaster, Verdict
-    from .transport import MessageError, listen
-    host, port = _parse_addr(args.listen)
+    import socket
+    from .orchestration import GpMaster, SssMaster
+    from .transport import MessageError, accept
     try:
-        channels, server = listen(host, port, expected=args.workers, deadline=deadline)
-    except TimeoutError:
-        print("c timeout", file=reporter.out)
-        return reporter.finish("unknown")
+        server = socket.create_server(addr)
     except OSError as exc:
         print(f"error: cannot listen on {args.listen}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ids = [f"w{i}" for i in range(1, len(channels) + 1)]
-    by_id = dict(zip(ids, channels))
+    by_id = {}  # worker id -> channel, in accept order
     # A broken link is handled between master calls, never inside one.
     lost: list[str] = []
 
@@ -153,27 +160,51 @@ def _run_master(args, f, reporter, deadline) -> int:
             lost.append(wid)
 
     master_cls = SssMaster if args.algo == "sss" else GpMaster
-    master = master_cls(f, ids, send=send, seed=args.seed)
+    master = master_cls(f, [], send=send, seed=args.seed, size=args.workers)
     master.on_improve = reporter.improve
-
     sel = selectors.DefaultSelector()
-    for wid, chan in by_id.items():
-        sel.register(chan.sock, selectors.EVENT_READ, wid)
+    sel.register(server, selectors.EVENT_READ)
+    joined = 0
+    code = None  # set once the result is printed
     try:
-        while not master.finished:
+        # The first model, or the proof that there is none, comes before any
+        # worker: workers join as they connect.
+        if deadline is None or time.monotonic() <= deadline:
+            master.start()
+        while True:
             while lost:
                 wid = lost.pop(0)
                 chan = by_id.pop(wid, None)
                 if chan is not None:
-                    print(f"c worker {wid} lost", file=reporter.out)
+                    if code is None:
+                        print(f"c worker {wid} lost", file=reporter.out)
                     sel.unregister(chan.sock)
+                    chan.close()
                     master.on_worker_lost(wid)
-            if master.finished:
+            timed_out = deadline is not None and time.monotonic() > deadline
+            if code is None:
+                if master.finished:
+                    code = reporter.finish(master.verdict.status)
+                    reporter.out.flush()
+                elif timed_out or (joined == args.workers and not by_id):
+                    print("c timeout" if timed_out else "c no worker left", file=reporter.out)
+                    return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
+            # After the result, wait until every worker has connected and
+            # said hello, so that each one ends on its terminate.
+            if code is not None and (timed_out or (joined == args.workers and master.registered >= set(by_id))):
                 break
-            if not by_id or (deadline is not None and time.monotonic() > deadline):
-                print("c timeout" if by_id else "c no worker left", file=reporter.out)
-                return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
-            for key, _ in sel.select(timeout=0.2):
+            wait = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+            for key, _ in sel.select(timeout=wait):
+                if key.fileobj is server:
+                    joined += 1
+                    wid = f"w{joined}"
+                    by_id[wid] = chan = accept(server)
+                    sel.register(chan.sock, selectors.EVENT_READ, wid)
+                    master.join(wid)
+                    if joined == args.workers:
+                        sel.unregister(server)
+                        server.close()
+                    continue
                 wid = key.data
                 chan = by_id[wid]
                 while wid not in lost:
@@ -188,26 +219,23 @@ def _run_master(args, f, reporter, deadline) -> int:
                     if msg is None:
                         break
                     master.on_message(wid, msg)
-                    if master.finished:
-                        break
     finally:
-        for chan in channels:
+        for chan in by_id.values():
             chan.close()
         server.close()
-    verdict = master.verdict or Verdict("unknown")
-    return reporter.finish(verdict.status)
+        sel.close()
+    return code
 
 
-def _run_worker(args, f, deadline) -> int:
+def _run_worker(f, addr, seed, deadline) -> int:
     from .orchestration import WorkerNode
     from .transport import connect
-    host, port = _parse_addr(args.connect)
     chan = None
     try:
         # Past the deadline the connect, a task's next SAT call or the wait
         # for a message raises TimeoutError.
-        chan = connect(host, port, deadline=deadline)
-        worker = WorkerNode("w0", f, send=chan.send, seed=args.seed, deadline=deadline, clock=time.monotonic)
+        chan = connect(*addr, deadline=deadline)
+        worker = WorkerNode("w0", f, send=chan.send, seed=seed, deadline=deadline, clock=time.monotonic)
         worker.hello()
         while not worker.done:
             msg = chan.recv(timeout=None if deadline is None else max(deadline - time.monotonic(), 1e-3))
@@ -252,6 +280,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    addr = None
+    if args.mode in ("master", "worker"):
+        flag, text = ("--listen", args.listen) if args.mode == "master" else ("--connect", args.connect)
+        addr = _parse_addr(text)
+        if addr is None:
+            print(f"error: {flag} {text}: expected HOST:PORT, PORT a number from 0 to 65535", file=sys.stderr)
+            return EXIT_USAGE
 
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
@@ -270,10 +305,10 @@ def main(argv=None) -> int:
     if args.mode == "worker":
         # The master's hello decides the role, so a worker names no algo.
         print(f"c mode worker seed {args.seed}", file=sys.stdout)
-        return _run_worker(args, f, deadline)
+        return _run_worker(f, addr, args.seed, deadline)
     print(f"c algo {args.algo} mode {args.mode} seed {args.seed}", file=sys.stdout)
     if args.mode == "master":
-        return _run_master(args, f, reporter, deadline)
+        return _run_master(args, f, reporter, addr, deadline)
     if args.mode == "sim":
         return _run_sim(args, f, reporter, deadline)
     return _run_standalone(args, f, reporter, deadline)

@@ -19,16 +19,23 @@ closes it, capping its `lb` at the task's cap (bound+1 for a bound probe, the
 μ sent for a path), and `on_worker_lost` hands a lost worker's task to the
 strategy's `_requeue`.  A stale `report_done`, naming a task the master does
 not hold for its sender, adds nothing and leaves the sender's live task in
-place.  The first worker of the roster takes the strategy's `LEAD_ROLE`, the
-others, its `helpers`, take `ROLE`.
+place.
 
-Both masters start the same way: one SAT call on the hard clauses
-(`initial_upper_bound`) gives the first model, and so the first μ, before any
-task is sent.  The master raises λ itself on its own proofs: to
-`num_soft + 1` when the hard clauses are unsatisfiable, and to μ once every
-guiding path has concluded, because the paths partition the search space.
-The run ends in one place, as soon as λ ≥ μ: "optimum" when a model is held,
-"unsatisfiable" when none is.
+Both masters start the same way.  `start` makes one SAT call on the hard
+clauses (`initial_upper_bound`): the first model, and so the first μ, or the
+proof that there is none, before any task is sent and before any worker need
+be there.  The roster is the workers the master knows, in the order they
+joined; a run is sized for `size` workers, the whole roster when it is given
+up front.  The run begins once every worker on the roster has said hello:
+the first takes the strategy's `LEAD_ROLE`, the others, its `helpers`, take
+`ROLE`.  A worker that says hello after that joins the helpers and gets the
+task it would have got at the start: sss an unheld bound of the initial
+split, gp a path of the root frontier, which is sized for `size` workers.
+A finished master answers a hello with `terminate`.  The master raises λ
+itself on its own proofs: to `num_soft + 1` when the hard clauses are
+unsatisfiable, and to μ once every guiding path has concluded, because the
+paths partition the search space.  The run ends in one place, as soon as
+λ ≥ μ: "optimum" when a model is held, "unsatisfiable" when none is.
 
 Models only lower μ and proofs only raise λ, so a report that arrives after
 the master moved on still applies monotonically.
@@ -83,14 +90,16 @@ class MasterBase:
     LEAD_ROLE = ""  # the first worker of the roster
     ROLE = ""  # every other worker, the helpers
 
-    def __init__(self, f: WcnfFormula, worker_ids, send, seed: int = 0):
+    def __init__(self, f: WcnfFormula, worker_ids, send, seed: int = 0, size: int | None = None):
         self.f = f
         self.worker_ids = list(worker_ids)  # roster order: the first leads, the rest help
+        self.size = len(self.worker_ids) if size is None else size  # the workers the run is sized for
         self.send = send  # callable(worker_id, Message)
         self.seed = seed
         self.registered: set[str] = set()
         self.helpers: list[str] = []
         self.tasks: dict[str, Task] = {}  # worker -> its live task, in assignment order
+        self._started = False
         self._begun = False
         self.finished = False
         self.verdict: Verdict | None = None
@@ -99,6 +108,7 @@ class MasterBase:
         self.improvements: list[int] = []
         self.on_improve = None  # optional callable(cost, model)
         self.audit: list[tuple[str, int, int]] = []  # (event, λ, μ) after each move
+        self._terminate_msg: Message | None = None  # the verdict, once finished
 
     @property
     def best_cost(self) -> int | None:
@@ -131,10 +141,9 @@ class MasterBase:
             payload = {"verdict": status, "cost": -1, "model": []}
         else:
             payload = {"verdict": status, "cost": self.window.mu, "model": model_literals(self.f, self.best_model)}
-        msg = Message("terminate", "master", payload)
+        self._terminate_msg = Message("terminate", "master", payload)
         for wid in self.worker_ids:
-            if wid in self.registered:
-                self.send(wid, msg)
+            self.send(wid, self._terminate_msg)
 
     def _checked_model(self, payload) -> tuple[int, dict[int, bool]] | None:
         """Validate a reported model; None means the report was bogus."""
@@ -148,13 +157,37 @@ class MasterBase:
             return None
         return found, model
 
+    def join(self, wid: str) -> None:
+        """`wid` connected: it goes on the roster and counts once it says hello."""
+        self.worker_ids.append(wid)
+
+    def start(self) -> None:
+        """One SAT call on the hard clauses: the first model and μ, or the
+        proof that there is none.  Made once, before any task is sent."""
+        if self._started:
+            return
+        self._started = True
+        found = initial_upper_bound(self.f, seed=self.seed)
+        if found is None:
+            self._raise_lower(self.f.num_soft + 1)
+        else:
+            self._improve(*found)
+
     def on_message(self, src: str, msg: Message) -> None:
         if self.finished:
+            if msg.kind == "hello":
+                self.registered.add(src)
+                self.send(src, self._terminate_msg)
             return
         p = msg.payload
         if msg.kind == "hello":
-            self.registered.add(src)
-            self._begin_when_ready()
+            if src not in self.registered:
+                self.registered.add(src)
+                if not self._begun:
+                    self._begin_when_ready()
+                else:  # a late worker joins the helpers
+                    self._enlist(src)
+                    self._schedule()
         elif msg.kind == "report_sat":
             checked = self._checked_model(p)
             if checked is not None:
@@ -168,21 +201,25 @@ class MasterBase:
         # abort/terminate never arrive at the master
 
     def _begin_when_ready(self) -> None:
-        if not self._begun and self.worker_ids and self.registered >= set(self.worker_ids):
-            self._begun = True
-            # One SAT call on the hard clauses: the first model and μ, or the
-            # proof that there is none, before any task is sent.
-            start = initial_upper_bound(self.f, seed=self.seed)
-            if start is None:
-                self._raise_lower(self.f.num_soft + 1)
-            else:
-                self._improve(*start)
-            if not self.finished:
-                lead, *self.helpers = self.worker_ids
-                self.send(lead, Message("hello", "master", {"role": self.LEAD_ROLE}))
-                for wid in self.helpers:
-                    self.send(wid, Message("hello", "master", {"role": self.ROLE}))
-                self._begin()
+        """Begin once every worker on the roster has said hello."""
+        if self._begun or not self.worker_ids or not self.registered >= set(self.worker_ids):
+            return
+        self._begun = True
+        self.start()
+        if self.finished:
+            return
+        lead, *helpers = self.worker_ids
+        self.send(lead, Message("hello", "master", {"role": self.LEAD_ROLE}))
+        self._begin()
+        for wid in helpers:
+            self._enlist(wid)
+        self._schedule()
+
+    def _enlist(self, wid: str) -> None:
+        """`wid` becomes a helper and gets its first task."""
+        self.helpers.append(wid)
+        self.send(wid, Message("hello", "master", {"role": self.ROLE}))
+        self._first_task(wid)
 
     def _assign(self, wid: str, task: Task) -> None:
         """Hand `wid` its next task; it must hold none."""
@@ -222,7 +259,12 @@ class MasterBase:
         self._schedule()
 
     def _begin(self) -> None:
-        """Start the strategy's own search, once a model is held and μ is its cost."""
+        """Start the strategy's own search, once a model is held and μ is its
+        cost; the lead has its role, the helpers are enlisted next."""
+        raise NotImplementedError
+
+    def _first_task(self, wid: str) -> None:
+        """Hand the new helper `wid` the task it would have got at the start."""
         raise NotImplementedError
 
     def _schedule(self) -> None:
@@ -242,11 +284,16 @@ class SssMaster(MasterBase):
     ROLE = "sss_linear"
 
     def _begin(self) -> None:
-        window = self.window
-        window.bounds = initial_bounds(window.mu, max(1, len(self.helpers))).bounds
-        for wid, bound in zip(self.helpers, window.bounds[1:]):
+        self.window.bounds = initial_bounds(self.window.mu, max(1, self.size - 1)).bounds
+
+    def _first_task(self, wid: str) -> None:
+        """The lowest bound above the window's lowest that no worker holds:
+        at the start, the bounds of the split in order.  With none left,
+        `_schedule` finds `wid` a task."""
+        held = {task.id for task in self.tasks.values()}
+        bound = next((b for b in self.window.bounds[1:] if b not in held), None)
+        if bound is not None:
             self._assign(wid, Task(bound, bound + 1))
-        self._schedule()
 
     def _reassign(self, wid: str) -> None:
         """Give `wid` a fresh midpoint, or any bound no worker holds, or let it idle."""
@@ -279,8 +326,8 @@ class GpMaster(MasterBase):
     LEAD_ROLE = "gp_linear"
     ROLE = "gp_solver"
 
-    def __init__(self, f, worker_ids, send, seed: int = 0):
-        super().__init__(f, worker_ids, send, seed)
+    def __init__(self, f, worker_ids, send, seed: int = 0, size: int | None = None):
+        super().__init__(f, worker_ids, send, seed, size)
         self.generator = None  # a lookahead.PathGenerator, built in _begin
         self.pending = []  # guiding paths waiting for a worker
         self.resplit_done: set[int] = set()
@@ -301,11 +348,13 @@ class GpMaster(MasterBase):
         self.pending = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget()).paths
         self.generated_paths.extend(self.pending)
         self._sort_pending()
-        self.idle = list(self.helpers)
-        self._schedule()
+
+    def _first_task(self, wid: str) -> None:
+        self.idle.append(wid)
 
     def _path_budget(self) -> int:
-        return PATHS_PER_WORKER * len(self.helpers)
+        """Sized for the run's helpers, so late ones never shrink the partition."""
+        return PATHS_PER_WORKER * (self.size - 1)
 
     def _sort_pending(self) -> None:
         self.pending.sort(key=lambda p: (p.depth, p.gen_index))

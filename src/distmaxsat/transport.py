@@ -208,32 +208,23 @@ class LineChannel:
             pass
 
 
-def listen(host: str, port: int, expected: int, deadline=None) -> tuple[list[LineChannel], socket.socket]:
-    """Accept `expected` worker connections; returns their channels.  Raises
-    TimeoutError once `time.monotonic()` passes `deadline`."""
-    server = socket.create_server((host, port))
-    channels = []
-    while len(channels) < expected:
-        if deadline is not None:
-            server.settimeout(max(deadline - time.monotonic(), 1e-3))
-        try:
-            conn, _ = server.accept()
-        except socket.timeout:
-            for chan in channels:
-                chan.close()
-            server.close()
-            raise TimeoutError("not every worker connected before the deadline") from None
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        channels.append(LineChannel(conn))
-    return channels, server
+def accept(server: socket.socket) -> LineChannel:
+    """The next worker connection waiting on the listening socket `server`."""
+    conn, _ = server.accept()
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return LineChannel(conn)
+
+
+# A worker started with its master polls at this pace: the master answers
+# as soon as it runs, so its first worker should not wait long to join.
+CONNECT_PAUSE_S = 0.005
 
 
 def connect(host: str, port: int, deadline=None) -> LineChannel:
-    """Reach the master, which may not listen yet: retry after pauses that
-    start at 5 ms and double up to 0.1 s, and raise ConnectionError once they
-    add up to 5 s.  Raises TimeoutError once `time.monotonic()` passes
-    `deadline`."""
-    pause, waited = 0.005, 0.0
+    """Reach the master, which may not listen yet: retry every `CONNECT_PAUSE_S`,
+    and raise ConnectionError once the pauses add up to 5 s.  Raises
+    TimeoutError once `time.monotonic()` passes `deadline`."""
+    waited = 0.0
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"master at {host}:{port} not reached before the deadline")
@@ -244,6 +235,5 @@ def connect(host: str, port: int, deadline=None) -> LineChannel:
         except OSError as exc:
             if waited >= 5.0:
                 raise ConnectionError(f"could not reach master at {host}:{port}: {exc}") from None
-        time.sleep(pause)
-        waited += pause
-        pause = min(2 * pause, 0.1)
+        time.sleep(CONNECT_PAUSE_S)
+        waited += CONNECT_PAUSE_S

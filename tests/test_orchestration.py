@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from distmaxsat.bounds import initial_bounds
 from distmaxsat.engine import Engine
 from distmaxsat.formula import cost, make_formula
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
@@ -15,7 +16,7 @@ from distmaxsat.orchestration import (
     run_sim,
 )
 from distmaxsat.sequential import msu3
-from distmaxsat.transport import Message, SimBus
+from distmaxsat.transport import Message, SimBus, decode_message
 
 from conftest import pigeonhole
 
@@ -481,9 +482,11 @@ def test_workers_send_models_proofs_and_one_done_per_task(monkeypatch, algo, wor
 
 
 def begun_master(master_cls, f, ids):
-    """A master that has seen every hello; returns it and what it sent."""
+    """A master started, as a socket master is, before any hello, that has
+    then seen every hello; returns it and what it sent."""
     sent = []
     master = master_cls(f, ids, send=lambda dst, m: sent.append((dst, m)), seed=0)
+    master.start()
     for wid in ids:
         master.on_message(wid, Message("hello", wid, {"role": "worker"}))
     return master, sent
@@ -699,3 +702,82 @@ def test_msu3_search_is_pinned(monkeypatch, draw, seed, expected_cost, conflicts
     monkeypatch.setattr(Engine, "__init__", spied_init)
     outcome = msu3(draw_formula(draw), seed=seed)
     assert (outcome.cost, sum(e.conflicts for e in engines)) == (expected_cost, conflicts)
+
+
+def hello_from(wid):
+    return Message("hello", wid, {"role": "worker"})
+
+
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
+    """A master sized for N workers begins with w1 alone.  w2, joining just
+    after, gets what a full roster would have given it at the start: the
+    lowest bound of the initial split (sss) or the first root path (gp), from
+    the same root frontier as a sim run with N workers.  The others join at
+    random points; the run still proves the optimum."""
+    master_cls = SssMaster if algo == "sss" else GpMaster
+    checked = 0
+    for case, (rng, f) in enumerate(small_draws(24, 30)):
+        size = rng.randint(2, 4)
+        ids = [f"w{i}" for i in range(1, size + 1)]
+        bus = SimBus(case, ["master"] + ids)
+        master = master_cls(f, [], send=lambda dst, m: bus.send("master", dst, m), seed=case, size=size)
+        workers = {
+            wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=i)
+            for i, wid in enumerate(ids, 1)
+        }
+        master.start()
+        if master.finished:  # the hard-clause model is optimal
+            continue
+        master.join("w1")
+        master.on_message("w1", hello_from("w1"))
+        mu = master.window.mu
+        master.join("w2")
+        master.on_message("w2", hello_from("w2"))
+        hello, task = (decode_message(data) for data in bus.queues[("master", "w2")])
+        assert hello.payload["role"] == master_cls.ROLE
+        if algo == "sss":
+            split = initial_bounds(mu, size - 1).bounds
+            assert task.kind == "assign_bound" and task.payload["bound"] == (split[1:] or split)[0]
+        else:
+            sim_roots = [p for p in run_sim(f, "gp", num_workers=size, seed=case).master.generated_paths
+                         if p.parent_index is None]
+            assert master.generated_paths == sim_roots
+            first = min(sim_roots, key=lambda p: (p.depth, p.gen_index))
+            assert task.kind == "assign_path" and task.payload["task"] == first.gen_index
+            assert task.payload["path"] == list(first.decisions) and task.payload["mu"] == mu
+        for wid in ids[2:]:
+            for _ in range(rng.randint(0, 6)):
+                if master.finished or not bus.pending():
+                    break
+                src, dst, msg = bus.deliver_next()
+                if dst == "master":
+                    master.on_message(src, msg)
+                else:
+                    workers[dst].on_message(msg)
+            master.join(wid)
+            workers[wid].hello()
+        run_master_to_end(master, workers, bus)
+        assert master.verdict.status == "optimum" and master.verdict.cost == brute_force(f), (case, algo)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("master_cls", [SssMaster, GpMaster])
+def test_a_finished_master_answers_a_hello_with_terminate(master_cls):
+    """Started before any worker joins, a master that proves its answer at
+    once (hard clauses unsatisfiable, or a hard-clause model of cost 0)
+    sends nothing, and then answers each hello with its verdict."""
+    unsat = make_formula(3, [[1], [-1, 2], [-2, 3], [-3]], [[1], [2], [3]])
+    free = make_formula(2, [[1], [2]], [[1], [2], [1, 2]])
+    for f, verdict in ((unsat, {"verdict": "unsatisfiable", "cost": -1, "model": []}),
+                       (free, {"verdict": "optimum", "cost": 0, "model": [1, 2]})):
+        sent = []
+        master = master_cls(f, [], send=lambda dst, m: sent.append((dst, m)), seed=0, size=2)
+        master.start()
+        assert master.finished and sent == []
+        for wid in ("w1", "w2"):
+            master.join(wid)
+            master.on_message(wid, hello_from(wid))
+        terminate = Message("terminate", "master", verdict)
+        assert sent == [("w1", terminate), ("w2", terminate)]
