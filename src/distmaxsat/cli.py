@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("instance", help="DIMACS WCNF instance path")
     p.add_argument("--algo", choices=("linear", "msu3", "sss", "gp"), default="linear",
-                   help="algorithm; a worker takes its role from the master instead")
+                   help="algorithm; a worker runs whatever tasks its master assigns instead")
     p.add_argument("--mode", choices=("standalone", "master", "worker", "sim"), default="standalone")
     p.add_argument("--workers", type=int, default=4, help="worker count (sim and master modes)")
     p.add_argument("--listen", metavar="HOST:PORT", help="master mode listen address")
@@ -210,9 +210,9 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
                 while wid not in lost:
                     try:
                         msg = chan.poll()
-                    except MessageError as exc:
-                        print(f"c dropping {wid}: {exc}", file=sys.stderr)
-                        msg = None
+                    except MessageError as exc:  # the line is dropped, the link kept
+                        print(f"c dropping a line from {wid}: {exc}", file=sys.stderr)
+                        continue
                     except (EOFError, ConnectionResetError):
                         lost.append(wid)
                         break
@@ -229,7 +229,7 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
 
 def _run_worker(f, addr, seed, deadline) -> int:
     from .orchestration import WorkerNode
-    from .transport import connect
+    from .transport import MessageError, connect
     chan = None
     try:
         # Past the deadline the connect, a task's next SAT call or the wait
@@ -246,7 +246,7 @@ def _run_worker(f, addr, seed, deadline) -> int:
         print("c timeout", file=sys.stdout)
     except (BrokenPipeError, ConnectionResetError):
         pass  # the master has closed the connection: the run is over
-    except OSError as exc:  # the master was never reached, or the link failed
+    except (OSError, MessageError) as exc:  # the master was never reached, the link failed, or a line was bad
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: --algo {args.algo} needs --mode sim, master or worker", file=sys.stderr)
         return EXIT_USAGE
-    # A worker takes its role from the master's hello, so --algo does not
+    # A worker runs whatever tasks its master assigns, so --algo does not
     # apply to it.
     if args.algo in ("linear", "msu3") and args.mode in ("sim", "master"):
         parser.print_usage(sys.stderr)
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     reporter = Reporter(f, sys.stdout)
     print(f"c instance {args.instance}: {f.num_vars} vars, {len(f.hard)} hard, {len(f.soft)} soft", file=sys.stdout)
     if args.mode == "worker":
-        # The master's hello decides the role, so a worker names no algo.
+        # The master's tasks decide what a worker runs, so it names no algo.
         print(f"c mode worker seed {args.seed}", file=sys.stdout)
         return _run_worker(f, addr, args.seed, deadline)
     print(f"c algo {args.algo} mode {args.mode} seed {args.seed}", file=sys.stdout)

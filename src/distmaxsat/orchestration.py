@@ -9,9 +9,9 @@ cost of the best model held (`num_soft + 1` before the first one) and λ a
 proven lower bound.  Workers report two kinds of fact, models and proofs:
 
 - `report_sat{cost, model}`: a model, sent as soon as it is found; it lowers μ.
-- `report_lower_bound{lb}`: no model costs less than `lb`; it raises λ.
 - `report_done{task, lb}`: exactly one per `assign_bound`/`assign_path`; `lb`
-  is the global lower bound the task proved, 0 if none.
+  is the global lower bound the task proved, 0 if none.  It raises λ, and
+  it is the only message that does.
 
 Which worker holds what is one ledger, `MasterBase.tasks`: each busy worker's
 one live `Task`, in assignment order.  `_assign` enters a task, `_conclude`
@@ -19,7 +19,7 @@ closes it, capping its `lb` at the task's cap (bound+1 for a bound probe, the
 μ sent for a path), and `on_worker_lost` hands a lost worker's task to the
 strategy's `_requeue`.  A stale `report_done`, naming a task the master does
 not hold for its sender, adds nothing and leaves the sender's live task in
-place.
+place.  So every proof a worker sends is capped and stale-checked.
 
 Both masters start the same way.  `start` makes one SAT call on the hard
 clauses (`initial_upper_bound`): the first model, and so the first μ, or the
@@ -27,9 +27,10 @@ proof that there is none, before any task is sent and before any worker need
 be there.  The roster is the workers the master knows, in the order they
 joined; a run is sized for `size` workers, the whole roster when it is given
 up front.  The run begins once every worker on the roster has said hello:
-the first takes the strategy's `LEAD_ROLE`, the others, its `helpers`, take
-`ROLE`.  A worker that says hello after that joins the helpers and gets the
-task it would have got at the start: sss an unheld bound of the initial
+the first, the lead, gets the whole-formula task -1 (`assign_path` with an
+empty path and the μ held), and the others are the strategy's `helpers`.
+A worker that says hello after that joins the helpers and gets the task it
+would have got at the start: sss an unheld bound of the initial
 split, gp a path of the root frontier, which is sized for `size` workers.
 A finished master answers a hello with `terminate`.  The master raises λ
 itself on its own proofs: to `num_soft + 1` when the hard clauses are
@@ -40,10 +41,9 @@ paths partition the search space.  The run ends in one place, as soon as
 Models only lower μ and proofs only raise λ, so a report that arrives after
 the master moved on still applies monotonically.
 
-A worker keeps one `CoreGuided` state for every task it takes: the
-`sss_msu3` worker runs `msu3` on it, a bound probe bin-c, and a path task
-`msu3` under its path until λ reaches the μ it was sent.  The gp lead's
-whole-formula task uses task id -1.
+A worker keeps one `CoreGuided` state for every task it takes: a bound
+probe runs bin-c on it, and a path task, task -1 included, `msu3` under its
+path until λ reaches the μ it was sent.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .formula import WcnfFormula, cost, model_literals
 from .sequential import CoreGuided, Optimum
 from .transport import Message
 
-WHOLE_FORMULA_TASK = -1
+WHOLE_FORMULA_TASK = -1  # the lead's task: `msu3` on the whole formula
 # A generate call stops once its emitted plus open paths reach this many per
 # path worker; `_resplit` generates more on demand.
 PATHS_PER_WORKER = 4
@@ -79,17 +79,15 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
 
 
 class Task(namedtuple("Task", "id cap path", defaults=(None,))):
-    """A worker's one live task: a bound probe (`path` None, `id` the bound)
-    or a `GuidingPath` (`id` its generation index).  `cap` is the most its
-    `report_done` may prove: bound+1 for a probe, the μ sent for a path."""
+    """A worker's one live task: a bound probe (`path` None, `id` the bound),
+    a `GuidingPath` (`id` its generation index) or the whole formula (`path`
+    empty, `id` -1).  `cap` is the most its `report_done` may prove: bound+1
+    for a probe, the μ sent for a path."""
 
     __slots__ = ()
 
 
 class MasterBase:
-    LEAD_ROLE = ""  # the first worker of the roster
-    ROLE = ""  # every other worker, the helpers
-
     def __init__(self, f: WcnfFormula, worker_ids, send, seed: int = 0, size: int | None = None):
         self.f = f
         self.worker_ids = list(worker_ids)  # roster order: the first leads, the rest help
@@ -192,16 +190,13 @@ class MasterBase:
             checked = self._checked_model(p)
             if checked is not None:
                 self._improve(*checked)
-        elif msg.kind == "report_lower_bound":
-            self._raise_lower(p["lb"])
-            self._schedule()
         elif msg.kind == "report_done":
             self._raise_lower(self._conclude(src, p["task"], p["lb"]))
             self._schedule()
-        # abort/terminate never arrive at the master
 
     def _begin_when_ready(self) -> None:
-        """Begin once every worker on the roster has said hello."""
+        """Begin once every worker on the roster has said hello: the first
+        runs `msu3` on the whole formula, the others help."""
         if self._begun or not self.worker_ids or not self.registered >= set(self.worker_ids):
             return
         self._begun = True
@@ -209,7 +204,7 @@ class MasterBase:
         if self.finished:
             return
         lead, *helpers = self.worker_ids
-        self.send(lead, Message("hello", "master", {"role": self.LEAD_ROLE}))
+        self._assign(lead, Task(WHOLE_FORMULA_TASK, self.window.mu, ()))
         self._begin()
         for wid in helpers:
             self._enlist(wid)
@@ -218,7 +213,6 @@ class MasterBase:
     def _enlist(self, wid: str) -> None:
         """`wid` becomes a helper and gets its first task."""
         self.helpers.append(wid)
-        self.send(wid, Message("hello", "master", {"role": self.ROLE}))
         self._first_task(wid)
 
     def _assign(self, wid: str, task: Task) -> None:
@@ -227,7 +221,8 @@ class MasterBase:
         if task.path is None:
             msg = Message("assign_bound", "master", {"bound": task.id})
         else:
-            msg = Message("assign_path", "master", {"task": task.id, "path": list(task.path.decisions), "mu": task.cap})
+            decisions = () if task.id == WHOLE_FORMULA_TASK else task.path.decisions
+            msg = Message("assign_path", "master", {"task": task.id, "path": list(decisions), "mu": task.cap})
         self.send(wid, msg)
 
     def _conclude(self, src: str, task_id: int, lb: int) -> int:
@@ -260,7 +255,7 @@ class MasterBase:
 
     def _begin(self) -> None:
         """Start the strategy's own search, once a model is held and μ is its
-        cost; the lead has its role, the helpers are enlisted next."""
+        cost; the lead has its task, the helpers are enlisted next."""
         raise NotImplementedError
 
     def _first_task(self, wid: str) -> None:
@@ -278,10 +273,7 @@ class MasterBase:
 
 
 class SssMaster(MasterBase):
-    """Search-space splitting: one core-guided worker, the helpers probe bounds."""
-
-    LEAD_ROLE = "sss_msu3"
-    ROLE = "sss_linear"
+    """Search-space splitting: the lead runs `msu3`, the helpers probe bounds."""
 
     def _begin(self) -> None:
         self.window.bounds = initial_bounds(self.window.mu, max(1, self.size - 1)).bounds
@@ -307,24 +299,18 @@ class SssMaster(MasterBase):
             self._assign(wid, Task(bound, bound + 1))
 
     def _schedule(self) -> None:
-        """Abort and refit every helper whose bound left the window."""
+        """Refit every helper that is idle or whose bound left the window."""
         if self.finished:
             return
         for wid in self.helpers:
             task = self.tasks.get(wid)
-            if task is None:
-                self._reassign(wid)
-            elif task.id not in self.window.bounds:
-                self.send(wid, Message("abort", "master", {}))
+            if task is None or task.id not in self.window.bounds:
                 self._reassign(wid)
 
 
 class GpMaster(MasterBase):
-    """Guiding paths: a queue of lookahead cubes plus one full linear search.
-    Only this master imports `lookahead`."""
-
-    LEAD_ROLE = "gp_linear"
-    ROLE = "gp_solver"
+    """Guiding paths: the lead runs `msu3`, the helpers take lookahead cubes
+    from a queue.  Only this master imports `lookahead`."""
 
     def __init__(self, f, worker_ids, send, seed: int = 0, size: int | None = None):
         super().__init__(f, worker_ids, send, seed, size)
@@ -337,13 +323,10 @@ class GpMaster(MasterBase):
         self.generated_paths = []
 
     def _begin(self) -> None:
-        # The full linear search starts first so it can improve μ while the
-        # master is busy generating the root paths.  The hard clauses have a
-        # model, so the root cannot conflict and the path that model agrees
-        # with is never pruned: at least one path comes back.
-        from .lookahead import ROOT_CUTOFF, GuidingPath, PathGenerator
-        whole = GuidingPath(decisions=(), gen_index=WHOLE_FORMULA_TASK)
-        self._assign(self.worker_ids[0], Task(WHOLE_FORMULA_TASK, self.window.mu, whole))
+        # The hard clauses have a model, so the root cannot conflict and the
+        # path that model agrees with is never pruned: at least one path
+        # comes back.
+        from .lookahead import ROOT_CUTOFF, PathGenerator
         self.generator = PathGenerator(self.f.hard, self.f.soft, num_vars=self.f.num_vars, seed=self.seed)
         self.pending = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget()).paths
         self.generated_paths.extend(self.pending)
@@ -416,7 +399,7 @@ class GpMaster(MasterBase):
 
 
 class WorkerNode:
-    """Role-agnostic worker: the master's hello decides what it computes."""
+    """A worker: it says hello, then runs each task the master assigns."""
 
     def __init__(self, wid: str, f: WcnfFormula, send, seed: int = 0, deadline=None, clock=None):
         self.wid = wid
@@ -427,52 +410,32 @@ class WorkerNode:
         # the deadline.
         self.deadline = deadline
         self.clock = clock
-        self.role: str | None = None
         self.done = False
         self._state: CoreGuided | None = None  # built on first use, kept for the run
 
     def hello(self) -> None:
-        self.send(Message("hello", self.wid, {"role": "worker"}))
+        self.send(Message("hello", self.wid))
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind == "hello":
-            self.role = msg.payload["role"]
-            if self.role == "sss_msu3":
-                self._run_msu3()
-        elif msg.kind == "assign_bound":
+        if msg.kind == "assign_bound":
             self._test_bound(msg.payload["bound"])
         elif msg.kind == "assign_path":
             self._solve_path(msg.payload["task"], msg.payload["path"], msg.payload["mu"])
-        elif msg.kind == "abort":
-            pass  # tasks are atomic here; stale results are the master's problem
         elif msg.kind == "terminate":
             self.done = True
 
     def _report_sat(self, found: int, model: dict[int, bool]) -> None:
         self.send(Message("report_sat", self.wid, {"cost": found, "model": model_literals(self.f, model)}))
 
-    def _report_lower_bound(self, lb: int) -> None:
-        self.send(Message("report_lower_bound", self.wid, {"lb": lb}))
-
     def _report_done(self, task: int, lb: int) -> None:
         self.send(Message("report_done", self.wid, {"task": task, "lb": lb}))
 
     def _core_guided(self) -> CoreGuided:
-        """The worker's one core-guided state, shared by every role and task,
-        so learned clauses, the relaxed set and its totalizer carry over."""
+        """The worker's one core-guided state, shared by every task, so
+        learned clauses, the relaxed set and its totalizer carry over."""
         if self._state is None:
             self._state = CoreGuided(self.f, seed=self.seed)
         return self._state
-
-    # ----------------------------------------------------------- sss workers
-
-    def _run_msu3(self) -> None:
-        outcome = self._core_guided().msu3(
-            on_lower_bound=self._report_lower_bound, deadline=self.deadline, clock=self.clock,
-        )
-        if isinstance(outcome, Optimum):
-            self._report_sat(outcome.cost, outcome.model)
-            self._report_lower_bound(outcome.cost)
 
     def _test_bound(self, bound: int) -> None:
         """bin-c: a model of cost <= bound, or the proof λ > bound.  A core
@@ -490,13 +453,12 @@ class WorkerNode:
                 self._report_done(bound, bound + 1)
                 return
 
-    # ------------------------------------------------------------ gp workers
-
     def _solve_path(self, task: int, path, mu: int) -> None:
         """`msu3` under the path until its λ reaches μ; the model it finds is
         reported.  `report_done` carries the last λ that holds globally: μ,
         or the model's cost, when no core used a path literal, and less, down
-        to 0, once one has."""
+        to 0, once one has.  No running λ goes out: each would be one more
+        message ahead of the one that closes the task."""
         proven = [0]
         outcome = self._core_guided().msu3(
             path, stop=mu, on_lower_bound=proven.append, deadline=self.deadline, clock=self.clock,
@@ -511,6 +473,9 @@ class WorkerNode:
 
 SimOutcome = namedtuple("SimOutcome", "verdict improvements audit trace master")
 
+# A sim run that delivers more messages than this raises RuntimeError.
+MAX_DELIVERIES = 2_000_000
+
 
 def run_sim(
     f: WcnfFormula,
@@ -520,7 +485,6 @@ def run_sim(
     on_improve=None,
     deadline=None,
     clock=None,
-    max_deliveries: int = 2_000_000,
 ) -> SimOutcome:
     """Run master and workers in one process over the deterministic bus.
 
@@ -554,7 +518,7 @@ def run_sim(
             stopped = True
             break
         deliveries += 1
-        if deliveries > max_deliveries:
+        if deliveries > MAX_DELIVERIES:
             raise RuntimeError("simulation did not converge")
         src, dst, msg = bus.deliver_next()
         if dst == "master":

@@ -22,13 +22,11 @@ class MessageError(ValueError):
 # kind -> (required payload fields, field type)
 # types: "int", "lits" (comma-separated literals), "str"
 SCHEMA: dict[str, dict[str, str]] = {
-    "hello": {"role": "str"},
+    "hello": {},
     "assign_bound": {"bound": "int"},
     "assign_path": {"task": "int", "path": "lits", "mu": "int"},
     "report_sat": {"cost": "int", "model": "lits"},
-    "report_lower_bound": {"lb": "int"},
     "report_done": {"task": "int", "lb": "int"},
-    "abort": {},
     "terminate": {"verdict": "str", "cost": "int", "model": "lits"},
 }
 

@@ -199,7 +199,7 @@ def socket_run(path, algo, workers, port, worker_args, quitters=0):
 
     def quitter():
         chan = connect("127.0.0.1", port)
-        chan.send(Message("hello", "w0", {"role": "worker"}))
+        chan.send(Message("hello", "w0"))
         chan.close()
 
     threads = [threading.Thread(target=master, daemon=True)]
@@ -226,7 +226,7 @@ def test_socket_master_worker_roundtrip(tmp_path):
     for worker_args in (["--algo", "sss"], []):
         results = socket_run(str(path), "sss", 2, free_port(), worker_args)
         assert "c algo sss mode master seed 5" in results["out"].splitlines()
-        # A worker's role comes from the master's hello, whatever --algo says.
+        # A worker runs the tasks its master assigns, whatever --algo says.
         assert len(results["worker_out"]) == 2
         for text in results["worker_out"]:
             assert text.splitlines()[1] == "c mode worker seed 0"
@@ -315,7 +315,7 @@ def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):
             assert chunk, "worker closed before its hello"
             hello += chunk
         assert decode_message(hello).kind == "hello"
-        conn.sendall(encode_message(Message("hello", "master", {"role": "sss_msu3"})))
+        conn.sendall(encode_message(Message("assign_path", "master", {"task": -1, "path": [], "mu": f.num_soft + 1})))
         # Wait until a report is in, then close with it unread: the worker
         # gets a reset while it reports or waits for the next message.
         assert conn.recv(1, socketlib.MSG_PEEK)
@@ -325,18 +325,19 @@ def test_worker_exits_cleanly_when_master_closes_mid_report(tmp_path):
     assert result["code"] == 0
 
 
-@pytest.mark.parametrize("role", ["sss_msu3", "sss_linear"])
-def test_worker_timeout_bounds_a_socket_worker(tmp_path, role):
+@pytest.mark.parametrize("case", ["in_task", "waiting"])
+def test_worker_timeout_bounds_a_socket_worker(tmp_path, case):
     """`--timeout` bounds a socket worker, both in a task it cannot finish in
-    time (`sss_msu3`) and while it waits for a task that never comes
-    (`sss_linear`): it is back within a few seconds."""
+    time (`in_task`: task -1 on php98) and while it waits for a task that
+    never comes (`waiting`): it is back within a few seconds."""
     import socket as socketlib
 
     from conftest import pigeonhole
     from distmaxsat.transport import Message, decode_message, encode_message
 
+    f = pigeonhole(1, holes=8)  # msu3 needs far more than 1 s
     path = tmp_path / "php98.wcnf"
-    path.write_text(serialize_wcnf(pigeonhole(1, holes=8)))  # msu3 needs far more than 1 s
+    path.write_text(serialize_wcnf(f))
     server = socketlib.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
     out = PerThreadStdout()
@@ -363,7 +364,9 @@ def test_worker_timeout_bounds_a_socket_worker(tmp_path, role):
                 assert chunk, "worker closed before its hello"
                 hello += chunk
             assert decode_message(hello).kind == "hello"
-            conn.sendall(encode_message(Message("hello", "master", {"role": role})))
+            if case == "in_task":
+                task = Message("assign_path", "master", {"task": -1, "path": [], "mu": f.num_soft + 1})
+                conn.sendall(encode_message(task))
             thread.join(timeout=5)
     assert not thread.is_alive()
     assert result["code"] == 0
@@ -532,7 +535,7 @@ def test_hard_unsat_master_answers_before_any_worker_connects(instance):
         assert lines_up_to_status(master)[-2:] == ["c algo sss mode master seed 0", "s UNSATISFIABLE"]
         chan = connect("127.0.0.1", port)
         try:
-            chan.send(Message("hello", "w0", {"role": "worker"}))
+            chan.send(Message("hello", "w0"))
             answer = chan.recv(timeout=30)
         finally:
             chan.close()
@@ -542,3 +545,63 @@ def test_hard_unsat_master_answers_before_any_worker_connects(instance):
         if master.poll() is None:
             master.kill()
         master.communicate()
+
+
+def test_socket_master_drops_a_bad_line_and_reads_the_lines_after_it(tmp_path):
+    """A line the master cannot decode is dropped, and stderr names the line,
+    not the worker; the hello sent in the same write is still read.  The bad
+    line is of the retired `report_lower_bound` kind, so it cannot raise λ:
+    the worker's task -1 proves the optimum."""
+    from distmaxsat.orchestration import WorkerNode, initial_upper_bound
+    from distmaxsat.transport import Message, connect
+
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    path = tmp_path / "bad.wcnf"
+    path.write_text(serialize_wcnf(f))
+    port = free_port()
+    master = cli_process(path, "--algo", "sss", "--mode", "master", "--listen", f"127.0.0.1:{port}",
+                         "--workers", 1, "--timeout", 60)
+    try:
+        chan = connect("127.0.0.1", port)
+        try:
+            chan.sock.sendall(b"kind=report_lower_bound sender=w0 lb=999\nkind=hello sender=w0\n")
+            msg = chan.recv(timeout=30)
+            mu, _model = initial_upper_bound(f)
+            assert msg == Message("assign_path", "master", {"task": -1, "path": [], "mu": mu})
+            worker = WorkerNode("w0", f, send=chan.send)
+            while not worker.done:
+                worker.on_message(msg)
+                msg = chan.recv(timeout=30)
+        finally:
+            chan.close()
+        out, err = master.communicate(timeout=30)
+        assert master.returncode == 30
+        assert [l for l in out.splitlines() if l.startswith("o ")][-1] == f"o {brute_force(f)}"
+        assert err == "c dropping a line from w1: unknown message kind: report_lower_bound\n"
+    finally:
+        if master.poll() is None:
+            master.kill()
+            master.communicate()
+
+
+def test_worker_ends_a_bad_line_from_its_master_in_one_error_line(instance):
+    import socket as socketlib
+
+    with socketlib.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(30)
+        worker = cli_process(instance(EXAMPLE), "--mode", "worker", "--timeout", 60,
+                             "--connect", f"127.0.0.1:{server.getsockname()[1]}")
+        try:
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(30)
+                assert conn.makefile("rb").readline().startswith(b"kind=hello ")
+                conn.sendall(b"kind=assign_bound sender=master bound=x\n")
+                out, err = worker.communicate(timeout=30)
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.communicate()
+    assert worker.returncode == 1
+    assert err == "error: assign_bound: bad value for bound: 'x'\n"
+    assert "Traceback" not in out

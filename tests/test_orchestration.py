@@ -1,6 +1,5 @@
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
@@ -275,9 +274,10 @@ def test_sim_deadline_stops_worker_tasks_within_one_sat_call(monkeypatch):
 
 def test_sim_deadline_keeps_models_reported_before_it(monkeypatch):
     """The clock reads the number of models reported so far, so the deadline
-    passes as soon as a path task sends its first `report_sat`, and that
-    task's next SAT call stops it with the report still on the bus.  The
-    master must receive it: the reported model is in the verdict."""
+    passes as soon as a path task sends its first `report_sat`, and the run
+    stops before its next delivery with the report still on the bus.  The
+    master must receive it: the run, still open, ends "unknown" with the
+    reported model in the verdict."""
     reported = []
     send = SimBus.send
 
@@ -288,7 +288,7 @@ def test_sim_deadline_keeps_models_reported_before_it(monkeypatch):
 
     monkeypatch.setattr(SimBus, "send", recorded)
     f = pigeonhole(3)
-    outcome = run_sim(f, "gp", num_workers=3, seed=1, deadline=0, clock=lambda: len(reported))
+    outcome = run_sim(f, "gp", num_workers=3, seed=0, deadline=0, clock=lambda: len(reported))
     assert len(reported) == 1
     assert outcome.verdict.status == "unknown"
     assert outcome.verdict.cost == reported[0]
@@ -324,7 +324,7 @@ def test_gp_queue_priority_shortest_then_oldest():
     f = make_formula(4, [[1, 2], [3, 4]], [[1], [2], [3], [4]])
     master = GpMaster(f, ["w1", "w2"], send=lambda dst, m: sent.append((dst, m)), seed=0)
     for wid in ("w1", "w2"):
-        master.on_message(wid, Message("hello", wid, {"role": "worker"}))
+        master.on_message(wid, Message("hello", wid))
     from distmaxsat.lookahead import GuidingPath
 
     master.pending = [
@@ -373,7 +373,7 @@ def test_gp_master_requeues_tasks_of_lost_worker():
     sent = []
     master = GpMaster(f, ["w1", "w2", "w3"], send=lambda dst, m: sent.append((dst, m)), seed=0)
     for wid in ("w1", "w2", "w3"):
-        master.on_message(wid, Message("hello", wid, {"role": "worker"}))
+        master.on_message(wid, Message("hello", wid))
     lost = master.tasks["w2"]
     master.on_worker_lost("w2")
     assert "w2" not in master.tasks and master.helpers == ["w3"]
@@ -417,7 +417,7 @@ def test_worker_lost_after_the_others_said_hello_begins_the_run(master_cls):
     bus = SimBus(0, ["master", "w1", "w2"])
     master = master_cls(f, ["w1", "w2"], send=lambda dst, m: bus.send("master", dst, m), seed=0)
     workers = {"w2": WorkerNode("w2", f, send=lambda m: bus.send("w2", "master", m), seed=2)}
-    master.on_message("w2", Message("hello", "w2", {"role": "worker"}))
+    master.on_message("w2", Message("hello", "w2"))
     assert not master._begun
     master.on_worker_lost("w1")
     assert master._begun
@@ -427,24 +427,24 @@ def test_worker_lost_after_the_others_said_hello_begins_the_run(master_cls):
     assert master.verdict.cost == expected
 
 
-def test_worker_ignores_abort_and_terminate_cleanly():
+def test_worker_ends_cleanly_on_terminate():
     sent = []
     w = WorkerNode("w1", make_formula(1, [], [[1]]), send=sent.append, seed=0)
-    w.on_message(Message("abort", "master", {}))
     w.on_message(Message("terminate", "master", {"verdict": "unknown", "cost": -1, "model": []}))
     assert w.done
     assert sent == []
 
 
-WORKER_REPORTS = {"hello", "report_sat", "report_lower_bound", "report_done"}
+WORKER_REPORTS = {"hello", "report_sat", "report_done"}
+MASTER_ORDERS = {"assign_bound", "assign_path", "terminate"}
 
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_workers_send_models_proofs_and_one_done_per_task(monkeypatch, algo, workers):
-    """Workers send only hello and the three report kinds, and answer every
-    assign_bound/assign_path they handle with exactly one report_done that
-    names its task, in order."""
+    """Workers send only hello and the two report kinds, the master only
+    tasks and terminate, and workers answer every assign_bound/assign_path
+    they handle with exactly one report_done that names its task, in order."""
     sent = []
     send = SimBus.send
 
@@ -470,6 +470,7 @@ def test_workers_send_models_proofs_and_one_done_per_task(monkeypatch, algo, wor
         assert outcome.verdict.status == "optimum"
         assert outcome.verdict.cost == (2 if f.num_vars == 40 else brute_force(f))
         assert {m.kind for _src, dst, m in sent if dst == "master"} <= WORKER_REPORTS
+        assert {m.kind for src, _dst, m in sent if src == "master"} <= MASTER_ORDERS
         for wid in (f"w{i}" for i in range(1, workers + 1)):
             tasks = [
                 m.payload["bound"] if m.kind == "assign_bound" else m.payload["task"]
@@ -488,7 +489,7 @@ def begun_master(master_cls, f, ids):
     master = master_cls(f, ids, send=lambda dst, m: sent.append((dst, m)), seed=0)
     master.start()
     for wid in ids:
-        master.on_message(wid, Message("hello", wid, {"role": "worker"}))
+        master.on_message(wid, Message("hello", wid))
     return master, sent
 
 
@@ -561,51 +562,48 @@ def test_gp_publishes_the_hard_clause_model_before_any_path(monkeypatch):
     assert "assign_path" in events
 
 
-def engines_and_tasks(monkeypatch, f, algo, workers, seed):
-    """Run a sim; count the engines each worker builds and the tasks
-    (assign_bound, assign_path, or the sss_msu3 hello) it handles."""
-    handling = []  # the worker whose message is being handled
-    engines, tasks = Counter(), Counter()
+ENGINE_DRAW = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
+
+
+def engines_built(monkeypatch, f, tasks):
+    """Hand one worker the `(kind, payload)` tasks in order; returns how many
+    engines it builds and the tasks its report_done lines name."""
+    engines, sent = [], []
     init = Engine.__init__
 
     def spied_init(engine, *args, **kwargs):
-        if handling:
-            engines[handling[-1]] += 1
+        engines.append(engine)
         return init(engine, *args, **kwargs)
 
-    on_message = WorkerNode.on_message
-
-    def traced(node, msg):
-        if msg.kind in ("assign_bound", "assign_path") or msg.payload.get("role") == "sss_msu3":
-            tasks[node.wid] += 1
-        handling.append(node.wid)
-        try:
-            return on_message(node, msg)
-        finally:
-            handling.pop()
-
     monkeypatch.setattr(Engine, "__init__", spied_init)
-    monkeypatch.setattr(WorkerNode, "on_message", traced)
-    outcome = run_sim(f, algo, num_workers=workers, seed=seed)
-    assert outcome.verdict.cost == brute_force(f)
-    return engines, tasks
+    worker = WorkerNode("w1", f, send=sent.append, seed=1)
+    for kind, payload in tasks:
+        worker.on_message(Message(kind, "master", payload))
+    return len(engines), [m.payload["task"] for m in sent if m.kind == "report_done"]
 
 
 def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
     """Task -1 and every path a worker takes share one engine."""
-    f = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
-    engines, tasks = engines_and_tasks(monkeypatch, f, "gp", workers=2, seed=1)
-    assert tasks["w1"] == 1 and tasks["w2"] >= 3, tasks
-    assert engines == Counter({wid: 1 for wid in tasks}), (engines, tasks)
+    from distmaxsat.lookahead import ROOT_CUTOFF, PathGenerator
+
+    f = ENGINE_DRAW
+    mu, _model = initial_upper_bound(f, seed=1)
+    paths = PathGenerator(f.hard, f.soft, num_vars=f.num_vars, seed=1).generate(theta0=ROOT_CUTOFF, max_paths=4).paths
+    assert len(paths) >= 3
+    tasks = [("assign_path", {"task": -1, "path": [], "mu": mu})]
+    tasks += [("assign_path", {"task": p.gen_index, "path": list(p.decisions), "mu": mu}) for p in paths]
+    assert engines_built(monkeypatch, f, tasks) == (1, [-1] + [p.gen_index for p in paths])
 
 
 def test_an_sss_worker_builds_one_engine_for_all_its_roles(monkeypatch):
-    """The msu3 worker builds one engine, and every probe a helper takes
-    runs on that helper's one engine."""
-    f = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
-    engines, tasks = engines_and_tasks(monkeypatch, f, "sss", workers=3, seed=1)
-    assert tasks["w1"] == 1 and tasks["w2"] + tasks["w3"] >= 3, tasks
-    assert engines == Counter({wid: 1 for wid in tasks}), (engines, tasks)
+    """Every bound probe a worker takes, and task -1 after them, run on its
+    one engine."""
+    f = ENGINE_DRAW
+    mu, _model = initial_upper_bound(f, seed=1)
+    bounds = initial_bounds(mu, 3).bounds[1:]
+    assert len(bounds) == 3
+    tasks = [("assign_bound", {"bound": b}) for b in bounds] + [("assign_path", {"task": -1, "path": [], "mu": mu})]
+    assert engines_built(monkeypatch, f, tasks) == (1, bounds + [-1])
 
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
@@ -627,34 +625,34 @@ def test_hard_unsat_run_ends_before_any_task(monkeypatch, algo):
 # Digests of the sim traces of fixed sss runs: any change to sss's search,
 # its messages or their order shows here.
 SSS_TRACE_DIGESTS = [
-    ((1000, 10, 22, 20), 2, 0, "cd5c853bcec4bdbb"),
-    ((1000, 10, 22, 20), 3, 0, "21b269b3de53ce82"),
-    ((1001, 12, 26, 24), 2, 1, "20476f15b5eb2b06"),
-    ((1001, 12, 26, 24), 3, 1, "1103c7f77d5ecd6e"),
-    ((1002, 14, 31, 28), 2, 2, "709d8b52ec644f3b"),
-    ((1002, 14, 31, 28), 3, 2, "1a440a36b125fb3c"),
-    ((1003, 16, 35, 32), 2, 3, "4d34773d27c9408a"),
-    ((1003, 16, 35, 32), 3, 3, "43974d78b7beb1ac"),
-    ((6, 30, 66, 60), 3, 6, "1afd6cd38ed97bb6"),
-    ("pigeonhole(2)", 2, 7, "324480855a15c1cb"),
-    ("pigeonhole(2)", 3, 7, "41b9c41778e4307c"),
+    ((1000, 10, 22, 20), 2, 0, "172be700c31bcd88"),
+    ((1000, 10, 22, 20), 3, 0, "8eb43ea3128531d8"),
+    ((1001, 12, 26, 24), 2, 1, "ef498554e1bf6dd7"),
+    ((1001, 12, 26, 24), 3, 1, "0899b22cb1e45a5a"),
+    ((1002, 14, 31, 28), 2, 2, "8bbd0c5d697d6021"),
+    ((1002, 14, 31, 28), 3, 2, "425757e9d753bd91"),
+    ((1003, 16, 35, 32), 2, 3, "c60cde07e5aa51fa"),
+    ((1003, 16, 35, 32), 3, 3, "635aa43bb2f1c07a"),
+    ((6, 30, 66, 60), 3, 6, "d9b6d6f8e8b8a985"),
+    ("pigeonhole(2)", 2, 7, "37ba0722daaec192"),
+    ("pigeonhole(2)", 3, 7, "0520ea89cda1e6b9"),
 ]
 
 
 # The same draws for gp: any change to its paths, its dispatch order or its
 # messages shows here.
 GP_TRACE_DIGESTS = [
-    ((1000, 10, 22, 20), 2, 0, "01c9ad56ffe44262"),
-    ((1000, 10, 22, 20), 3, 0, "f92c187a722b4645"),
-    ((1001, 12, 26, 24), 2, 1, "58460f49edac536d"),
-    ((1001, 12, 26, 24), 3, 1, "06ce45cf15f9a113"),
-    ((1002, 14, 31, 28), 2, 2, "50a276aa75dc4a67"),
-    ((1002, 14, 31, 28), 3, 2, "c4891369f6f5e6a8"),
-    ((1003, 16, 35, 32), 2, 3, "12fafa356fd48a50"),
-    ((1003, 16, 35, 32), 3, 3, "18ea825b4ebc95c1"),
-    ((6, 30, 66, 60), 3, 6, "79f6e0995f319bc1"),
-    ("pigeonhole(2)", 2, 7, "837ced554a6e1bf3"),
-    ("pigeonhole(2)", 3, 7, "e8ddcbec68e78fd2"),
+    ((1000, 10, 22, 20), 2, 0, "172be700c31bcd88"),
+    ((1000, 10, 22, 20), 3, 0, "62c826214bb9a399"),
+    ((1001, 12, 26, 24), 2, 1, "6475986f2e7ec97c"),
+    ((1001, 12, 26, 24), 3, 1, "72b0c76771122767"),
+    ((1002, 14, 31, 28), 2, 2, "69a86177e62b8e4a"),
+    ((1002, 14, 31, 28), 3, 2, "03fa650213c6ec02"),
+    ((1003, 16, 35, 32), 2, 3, "dd9d8e458241fd51"),
+    ((1003, 16, 35, 32), 3, 3, "1d08fc73cdcda347"),
+    ((6, 30, 66, 60), 3, 6, "d7dc619b1687161c"),
+    ("pigeonhole(2)", 2, 7, "ce08e08b627eed18"),
+    ("pigeonhole(2)", 3, 7, "fc48dba9948f9397"),
 ]
 
 
@@ -680,12 +678,18 @@ def trace_digest(algo, draw, workers, seed):
     return hashlib.sha256(b"\n".join(outcome.trace)).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("draw,workers,seed,digest", SSS_TRACE_DIGESTS)
+def digest_ids(digests):
+    """`draw<i>-<workers>-<seed>`, without the digest, so a re-pin keeps the id."""
+    return [f"{draw if isinstance(draw, str) else f'draw{i}'}-{workers}-{seed}"
+            for i, (draw, workers, seed, _digest) in enumerate(digests)]
+
+
+@pytest.mark.parametrize("draw,workers,seed,digest", SSS_TRACE_DIGESTS, ids=digest_ids(SSS_TRACE_DIGESTS))
 def test_sss_sim_trace_is_pinned(draw, workers, seed, digest):
     assert trace_digest("sss", draw, workers, seed) == digest
 
 
-@pytest.mark.parametrize("draw,workers,seed,digest", GP_TRACE_DIGESTS)
+@pytest.mark.parametrize("draw,workers,seed,digest", GP_TRACE_DIGESTS, ids=digest_ids(GP_TRACE_DIGESTS))
 def test_gp_sim_trace_is_pinned(draw, workers, seed, digest):
     assert trace_digest("gp", draw, workers, seed) == digest
 
@@ -705,7 +709,7 @@ def test_msu3_search_is_pinned(monkeypatch, draw, seed, expected_cost, conflicts
 
 
 def hello_from(wid):
-    return Message("hello", wid, {"role": "worker"})
+    return Message("hello", wid)
 
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
@@ -732,10 +736,11 @@ def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
         master.join("w1")
         master.on_message("w1", hello_from("w1"))
         mu = master.window.mu
+        [lead_task] = (decode_message(data) for data in bus.queues[("master", "w1")])
+        assert lead_task == Message("assign_path", "master", {"task": -1, "path": [], "mu": mu})
         master.join("w2")
         master.on_message("w2", hello_from("w2"))
-        hello, task = (decode_message(data) for data in bus.queues[("master", "w2")])
-        assert hello.payload["role"] == master_cls.ROLE
+        [task] = (decode_message(data) for data in bus.queues[("master", "w2")])
         if algo == "sss":
             split = initial_bounds(mu, size - 1).bounds
             assert task.kind == "assign_bound" and task.payload["bound"] == (split[1:] or split)[0]

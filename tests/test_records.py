@@ -23,7 +23,7 @@ RECORDS = [
     (lambda: Implied(frozenset({2})), "literals"),
     (lambda: encode_totalizer([1, 2, 3], 4, k=1), "outputs"),
     (lambda: Message("assign_bound", "master", {"bound": 3}), "payload"),
-    (lambda: Message("abort", "master"), "kind"),
+    (lambda: Message("hello", "w1"), "kind"),
     (lambda: Optimum(1, {1: True, 2: False}), "cost"),
     (lambda: HardUnsat(), "cost"),
     (lambda: Core((3,), False, True), "softs"),
@@ -45,7 +45,7 @@ def test_record_is_immutable_truthy_and_equal_by_fields(build, name):
 
 
 def test_records_keep_their_defaults_and_properties():
-    first, second = Message("abort", "master"), Message("abort", "master")
+    first, second = Message("hello", "w1"), Message("hello", "w1")
     assert first.payload == {} and first.payload is not second.payload
     assert GuidingPath((1, -2), 0).parent_index is None and GuidingPath((1, -2), 0).depth == 2
     assert Task(2, 3).path is None

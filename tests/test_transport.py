@@ -32,7 +32,7 @@ def test_message_requires_schema_fields():
     with pytest.raises(MessageError, match="missing"):
         Message("assign_bound", "master", {})
     with pytest.raises(MessageError, match="unexpected"):
-        Message("abort", "master", {"bound": 3})
+        Message("hello", "w1", {"role": "worker"})
     with pytest.raises(MessageError, match="unknown"):
         Message("nonsense", "master", {})
 
@@ -49,7 +49,7 @@ def random_message(rng: random.Random) -> Message:
                 rng.choice([1, -1]) * rng.randint(1, 30) for _ in range(rng.randint(0, 8))
             ]
         else:
-            payload[name] = rng.choice(["optimum", "unsatisfiable", "unknown", "gp_solver"])
+            payload[name] = rng.choice(["optimum", "unsatisfiable", "unknown"])
     return Message(kind, sender, payload)
 
 
@@ -62,7 +62,7 @@ def test_thousand_random_messages_roundtrip():
 
 def test_decode_truncated_line():
     with pytest.raises(MessageError, match="framing"):
-        decode_message(b"kind=abort sender=master")
+        decode_message(b"kind=hello sender=w1")
 
 
 def test_decode_unknown_kind():
@@ -77,7 +77,7 @@ def test_decode_missing_field():
 
 def test_decode_trailing_garbage_field():
     with pytest.raises(MessageError, match="unexpected"):
-        decode_message(b"kind=abort sender=master wat=1\n")
+        decode_message(b"kind=hello sender=w1 wat=1\n")
 
 
 def test_decode_bad_value():
@@ -108,7 +108,7 @@ def test_simbus_same_seed_identical_trace():
         rng = random.Random(5)
         for i in range(30):
             src, dst = rng.sample(["m", "w1", "w2"], 2)
-            bus.send(src, dst, Message("report_lower_bound", src, {"lb": i}))
+            bus.send(src, dst, Message("report_done", src, {"task": i, "lb": i}))
         trace = []
         while bus.pending():
             bus.deliver_next()
@@ -121,7 +121,7 @@ def test_simbus_same_seed_identical_trace():
 def test_simbus_unknown_participant():
     bus = SimBus(0, ["a"])
     with pytest.raises(KeyError):
-        bus.send("a", "zzz", Message("abort", "a", {}))
+        bus.send("a", "zzz", Message("hello", "a", {}))
 
 
 def test_socket_channel_roundtrip():
