@@ -13,7 +13,7 @@ from .formula import (
 )
 from .engine import Engine, Sat, Unsat, Implied, Conflict
 from .cardinality import AtMostEncoding, encode_totalizer, bound_assumptions
-from .sequential import OptOutcome, Optimum, HardUnsat, CoreGuided, linear_su, msu3
+from .sequential import OptOutcome, Optimum, HardUnsat, CoreGuided, linear_su, msu3, oll
 from .oracle import brute_force, gen_random, HARD_UNSAT
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "CoreGuided",
     "linear_su",
     "msu3",
+    "oll",
     "brute_force",
     "gen_random",
     "HARD_UNSAT",

@@ -41,9 +41,10 @@ paths partition the search space.  The run ends in one place, as soon as
 Models only lower μ and proofs only raise λ, so a report that arrives after
 the master moved on still applies monotonically.
 
-A worker keeps one `CoreGuided` state for every task it takes: a bound
-probe runs bin-c on it, and a path task, task -1 included, `msu3` under its
-path until λ reaches the μ it was sent.
+A worker keeps one `CoreGuided` state for all its bound probes, which run
+bin-c on it.  A path task, task -1 included, runs `oll` under its path, on a
+state of its own, until λ reaches the μ it was sent: nothing carries from one
+cell to the next.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from collections import namedtuple
 from .bounds import BoundSet, initial_bounds
 from .engine import Engine, Sat, Unsat
 from .formula import WcnfFormula, cost, model_literals
-from .sequential import CoreGuided, Optimum
+from .sequential import CoreGuided, Optimum, oll
 from .transport import Message
 
-WHOLE_FORMULA_TASK = -1  # the lead's task: `msu3` on the whole formula
+WHOLE_FORMULA_TASK = -1  # the lead's task: `oll` on the whole formula
 # A generate call stops once its emitted plus open paths reach this many per
 # path worker; `_resplit` generates more on demand.
 PATHS_PER_WORKER = 4
@@ -196,7 +197,7 @@ class MasterBase:
 
     def _begin_when_ready(self) -> None:
         """Begin once every worker on the roster has said hello: the first
-        runs `msu3` on the whole formula, the others help."""
+        runs `oll` on the whole formula, the others help."""
         if self._begun or not self.worker_ids or not self.registered >= set(self.worker_ids):
             return
         self._begun = True
@@ -273,7 +274,7 @@ class MasterBase:
 
 
 class SssMaster(MasterBase):
-    """Search-space splitting: the lead runs `msu3`, the helpers probe bounds."""
+    """Search-space splitting: the lead runs `oll`, the helpers probe bounds."""
 
     def _begin(self) -> None:
         self.window.bounds = initial_bounds(self.window.mu, max(1, self.size - 1)).bounds
@@ -309,7 +310,7 @@ class SssMaster(MasterBase):
 
 
 class GpMaster(MasterBase):
-    """Guiding paths: the lead runs `msu3`, the helpers take lookahead cubes
+    """Guiding paths: the lead runs `oll`, the helpers take lookahead cubes
     from a queue.  Only this master imports `lookahead`."""
 
     def __init__(self, f, worker_ids, send, seed: int = 0, size: int | None = None):
@@ -411,7 +412,7 @@ class WorkerNode:
         self.deadline = deadline
         self.clock = clock
         self.done = False
-        self._state: CoreGuided | None = None  # built on first use, kept for the run
+        self._state: CoreGuided | None = None  # the probes' state: built on first use, kept for the run
 
     def hello(self) -> None:
         self.send(Message("hello", self.wid))
@@ -431,7 +432,7 @@ class WorkerNode:
         self.send(Message("report_done", self.wid, {"task": task, "lb": lb}))
 
     def _core_guided(self) -> CoreGuided:
-        """The worker's one core-guided state, shared by every task, so
+        """The worker's one core-guided state, shared by every bound probe, so
         learned clauses, the relaxed set and its totalizer carry over."""
         if self._state is None:
             self._state = CoreGuided(self.f, seed=self.seed)
@@ -444,7 +445,7 @@ class WorkerNode:
         more than `bound` of R."""
         state = self._core_guided()
         while True:
-            answer = state.call((), bound, deadline=self.deadline, clock=self.clock)
+            answer = state.call(bound, deadline=self.deadline, clock=self.clock)
             if isinstance(answer, Sat):
                 self._report_sat(cost(self.f, answer.model), answer.model)
                 self._report_done(bound, 0)
@@ -454,15 +455,15 @@ class WorkerNode:
                 return
 
     def _solve_path(self, task: int, path, mu: int) -> None:
-        """`msu3` under the path until its λ reaches μ; the model it finds is
-        reported.  `report_done` carries the last λ that holds globally: μ,
-        or the model's cost, when no core used a path literal, and less, down
-        to 0, once one has.  No running λ goes out: each would be one more
-        message ahead of the one that closes the task."""
+        """`oll` under the path, on a fresh state, until its λ reaches μ; the
+        model it finds is reported.  `report_done` carries the last λ that
+        holds globally: μ, or the model's cost, when no core used a path
+        literal, and less, down to 0, once one has.  No running λ goes out:
+        each would be one more message ahead of the one that closes the
+        task."""
         proven = [0]
-        outcome = self._core_guided().msu3(
-            path, stop=mu, on_lower_bound=proven.append, deadline=self.deadline, clock=self.clock,
-        )
+        outcome = oll(self.f, path, stop=mu, on_lower_bound=proven.append, seed=self.seed,
+                      deadline=self.deadline, clock=self.clock)
         if isinstance(outcome, Optimum):
             self._report_sat(outcome.cost, outcome.model)
         self._report_done(task, min(proven[-1], mu))

@@ -10,7 +10,7 @@ import pytest
 from distmaxsat.formula import cost, relax, serialize_wcnf
 from distmaxsat.oracle import gen_random
 from distmaxsat.orchestration import run_sim
-from distmaxsat.sequential import HardUnsat, Optimum, linear_su, msu3
+from distmaxsat.sequential import HardUnsat, Optimum, linear_su, msu3, oll
 
 from test_cli import free_port, socket_run
 
@@ -50,6 +50,7 @@ def verdicts():
         runs = {
             "linear": sequential_verdict(linear_su(relax(f), seed=i), f),
             "msu3": sequential_verdict(msu3(f, seed=i), f),
+            "oll": sequential_verdict(oll(f, seed=i), f),
         }
         for algo in ("sss", "gp"):
             for workers in (2, 3):

@@ -130,8 +130,9 @@ def test_cell_below_mu_closes_without_a_model_exactly_when_the_cube_has_none_che
 
 
 def test_relaxed_set_carried_across_tasks_with_different_cubes_stays_sound():
-    """One worker takes probes and cells in turn, so each task starts from the
-    relaxed set, totalizer and learned clauses of the ones before."""
+    """One worker takes probes and cells in turn: each probe starts from the
+    relaxed set, totalizer and learned clauses of the probes before, and each
+    cell from a state of its own."""
     for case, (rng, f) in enumerate(small_draws(23, 40)):
         worker = WorkerNode("w1", f, send=None, seed=case)
         for _ in range(8):
@@ -565,10 +566,9 @@ def test_gp_publishes_the_hard_clause_model_before_any_path(monkeypatch):
 ENGINE_DRAW = gen_random(4, num_vars=16, num_hard=35, num_soft=32, clause_len=3)
 
 
-def engines_built(monkeypatch, f, tasks):
-    """Hand one worker the `(kind, payload)` tasks in order; returns how many
-    engines it builds and the tasks its report_done lines name."""
-    engines, sent = [], []
+def spy_engines(monkeypatch):
+    """The list every engine built from here on in the test is appended to."""
+    engines = []
     init = Engine.__init__
 
     def spied_init(engine, *args, **kwargs):
@@ -576,34 +576,46 @@ def engines_built(monkeypatch, f, tasks):
         return init(engine, *args, **kwargs)
 
     monkeypatch.setattr(Engine, "__init__", spied_init)
+    return engines
+
+
+def engines_built(monkeypatch, f, tasks):
+    """Hand one worker the `(kind, payload)` tasks in order; returns how many
+    engines it builds and the tasks its report_done lines name."""
+    engines, sent = spy_engines(monkeypatch), []
     worker = WorkerNode("w1", f, send=sent.append, seed=1)
     for kind, payload in tasks:
         worker.on_message(Message(kind, "master", payload))
     return len(engines), [m.payload["task"] for m in sent if m.kind == "report_done"]
 
 
-def test_a_gp_worker_builds_one_engine_for_all_its_paths(monkeypatch):
-    """Task -1 and every path a worker takes share one engine."""
-    from distmaxsat.lookahead import ROOT_CUTOFF, PathGenerator
-
-    f = ENGINE_DRAW
-    mu, _model = initial_upper_bound(f, seed=1)
-    paths = PathGenerator(f.hard, f.soft, num_vars=f.num_vars, seed=1).generate(theta0=ROOT_CUTOFF, max_paths=4).paths
-    assert len(paths) >= 3
-    tasks = [("assign_path", {"task": -1, "path": [], "mu": mu})]
-    tasks += [("assign_path", {"task": p.gen_index, "path": list(p.decisions), "mu": mu}) for p in paths]
-    assert engines_built(monkeypatch, f, tasks) == (1, [-1] + [p.gen_index for p in paths])
+def test_a_path_cell_answers_as_on_a_fresh_worker_whatever_came_before():
+    """A worker that has taken probes and other cells, task -1 among them,
+    sends for a cell exactly what a fresh worker sends for it, and that
+    answer is right by brute force."""
+    for case, (rng, f) in enumerate(small_draws(26, 30)):
+        worker = WorkerNode("w1", f, send=None, seed=case)
+        for task in range(6):
+            if rng.random() < 0.3:
+                bound = rng.randint(0, f.num_soft)
+                probe(worker, bound)
+                continue
+            cube = [] if task == 0 else random_cube(rng, f)
+            mu = rng.randint(1, f.num_soft + 1)
+            answer = solve_path(cube, mu, f, worker)
+            assert answer == solve_path(cube, mu, f, WorkerNode("w1", f, send=None, seed=case)), (f, cube, mu)
+            check_cell(f, cube, mu, *answer)
 
 
 def test_an_sss_worker_builds_one_engine_for_all_its_roles(monkeypatch):
-    """Every bound probe a worker takes, and task -1 after them, run on its
-    one engine."""
+    """Every bound probe a worker takes runs on its one engine; task -1 after
+    them builds its own."""
     f = ENGINE_DRAW
     mu, _model = initial_upper_bound(f, seed=1)
     bounds = initial_bounds(mu, 3).bounds[1:]
     assert len(bounds) == 3
     tasks = [("assign_bound", {"bound": b}) for b in bounds] + [("assign_path", {"task": -1, "path": [], "mu": mu})]
-    assert engines_built(monkeypatch, f, tasks) == (1, bounds + [-1])
+    assert engines_built(monkeypatch, f, tasks) == (2, bounds + [-1])
 
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
@@ -631,9 +643,9 @@ SSS_TRACE_DIGESTS = [
     ((1001, 12, 26, 24), 3, 1, "0899b22cb1e45a5a"),
     ((1002, 14, 31, 28), 2, 2, "8bbd0c5d697d6021"),
     ((1002, 14, 31, 28), 3, 2, "425757e9d753bd91"),
-    ((1003, 16, 35, 32), 2, 3, "c60cde07e5aa51fa"),
-    ((1003, 16, 35, 32), 3, 3, "635aa43bb2f1c07a"),
-    ((6, 30, 66, 60), 3, 6, "d9b6d6f8e8b8a985"),
+    ((1003, 16, 35, 32), 2, 3, "58ee0637c626c570"),
+    ((1003, 16, 35, 32), 3, 3, "73f2fde4203ed004"),
+    ((6, 30, 66, 60), 3, 6, "85cff3f3bf105a61"),
     ("pigeonhole(2)", 2, 7, "37ba0722daaec192"),
     ("pigeonhole(2)", 3, 7, "0520ea89cda1e6b9"),
 ]
@@ -646,19 +658,19 @@ GP_TRACE_DIGESTS = [
     ((1000, 10, 22, 20), 3, 0, "62c826214bb9a399"),
     ((1001, 12, 26, 24), 2, 1, "6475986f2e7ec97c"),
     ((1001, 12, 26, 24), 3, 1, "72b0c76771122767"),
-    ((1002, 14, 31, 28), 2, 2, "69a86177e62b8e4a"),
+    ((1002, 14, 31, 28), 2, 2, "cf76abe99bcd8d27"),
     ((1002, 14, 31, 28), 3, 2, "03fa650213c6ec02"),
-    ((1003, 16, 35, 32), 2, 3, "dd9d8e458241fd51"),
-    ((1003, 16, 35, 32), 3, 3, "1d08fc73cdcda347"),
-    ((6, 30, 66, 60), 3, 6, "d7dc619b1687161c"),
+    ((1003, 16, 35, 32), 2, 3, "b0e9b31a4a173c6f"),
+    ((1003, 16, 35, 32), 3, 3, "612aa35661cfb0e5"),
+    ((6, 30, 66, 60), 3, 6, "56058f9d3cca4ec6"),
     ("pigeonhole(2)", 2, 7, "ce08e08b627eed18"),
-    ("pigeonhole(2)", 3, 7, "fc48dba9948f9397"),
+    ("pigeonhole(2)", 3, 7, "e4ce563832dab28f"),
 ]
 
 
 # msu3 alone on the same draws: (cost, conflicts summed over its engines).
-# The sss msu3 worker and gp path tasks share its loop; its own search must
-# not move when theirs do.
+# The sss bound probes share its `CoreGuided.call`; its own search must not
+# move when theirs do.
 MSU3_PINS = [
     ((1000, 10, 22, 20), 0, 3, 2),
     ((1001, 12, 26, 24), 1, 6, 11),
@@ -696,16 +708,24 @@ def test_gp_sim_trace_is_pinned(draw, workers, seed, digest):
 
 @pytest.mark.parametrize("draw,seed,expected_cost,conflicts", MSU3_PINS)
 def test_msu3_search_is_pinned(monkeypatch, draw, seed, expected_cost, conflicts):
-    engines = []
-    init = Engine.__init__
-
-    def spied_init(engine, *args, **kwargs):
-        engines.append(engine)
-        return init(engine, *args, **kwargs)
-
-    monkeypatch.setattr(Engine, "__init__", spied_init)
+    engines = spy_engines(monkeypatch)
     outcome = msu3(draw_formula(draw), seed=seed)
     assert (outcome.cost, sum(e.conflicts for e in engines)) == (expected_cost, conflicts)
+
+
+# Standalone `msu3` (seed 0) on `gen_random(5, 70, 80, 200, 3)`: optimum 36,
+# found with this many conflicts.
+SCALE_DRAW_MSU3_CONFLICTS = 3532
+
+
+def test_sim_gp_proves_a_scale_draw_in_fewer_conflicts_than_msu3(monkeypatch):
+    """Engine work, not wall time: sim gp with 3 workers proves the optimum
+    in fewer conflicts, summed over every engine it builds (the master's,
+    the lookahead's and each cell's), than standalone `msu3` needs alone."""
+    engines = spy_engines(monkeypatch)
+    outcome = run_sim(gen_random(5, 70, 80, 200, 3), "gp", num_workers=3, seed=0)
+    assert (outcome.verdict.status, outcome.verdict.cost) == ("optimum", 36)
+    assert sum(e.conflicts for e in engines) < SCALE_DRAW_MSU3_CONFLICTS
 
 
 def hello_from(wid):

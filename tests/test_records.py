@@ -26,7 +26,7 @@ RECORDS = [
     (lambda: Message("hello", "w1"), "kind"),
     (lambda: Optimum(1, {1: True, 2: False}), "cost"),
     (lambda: HardUnsat(), "cost"),
-    (lambda: Core((3,), False, True), "softs"),
+    (lambda: Core((3,), False), "softs"),
     (lambda: GuidingPath((1, -2), 0), "decisions"),
     (lambda: Verdict("unknown"), "status"),
     (lambda: Task(2, 3), "cap"),

@@ -3,7 +3,9 @@ import random
 from distmaxsat.engine import Sat
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
-from distmaxsat.sequential import Core, CoreGuided, HardUnsat, Optimum, linear_su, msu3
+from distmaxsat.sequential import Core, CoreGuided, HardUnsat, Optimum, linear_su, msu3, oll
+
+from test_orchestration import check_cell, random_cube, small_draws, with_cube
 
 
 def test_linear_su_two_var_example():
@@ -19,17 +21,17 @@ def test_linear_su_hard_unsat():
     assert isinstance(linear_su(relax(f)), HardUnsat)
 
 
-def cell(f, cube, stop):
-    """`msu3` under `cube` until λ reaches `stop`, as a gp path cell runs it:
+def cell(f, cube, stop, seed=0):
+    """`oll` under `cube` until λ reaches `stop`, as a gp path cell runs it:
     the outcome and the λ reports that hold for `f` as a whole."""
     reports = []
-    outcome = CoreGuided(f).msu3(cube, stop=stop, on_lower_bound=reports.append)
+    outcome = oll(f, cube, stop=stop, on_lower_bound=reports.append, seed=seed)
     return outcome, reports
 
 
 def test_linear_su_no_improvement_under_path():
     # A gp path task's search under its path, which finds no model cheaper
-    # than μ: the cell loop on `CoreGuided.msu3`.
+    # than μ: the cell loop, `oll`.
     # Below μ = 1 no violation is allowed; under path [1] the soft (-1) must break.
     f = make_formula(1, [], [[-1]])
     outcome, reports = cell(f, [1], stop=1)
@@ -60,10 +62,10 @@ def test_one_input_totalizer_output_is_the_bound_not_a_new_soft():
     f = make_formula(1, [[-1]], [[1]])
     state = CoreGuided(f)
     [r] = state.relax_vars
-    assert state.call((), 0) == Core((r,), bound=False, cube=False)
-    assert state.call((), 0) == Core((), bound=True, cube=False)
+    assert state.call(0) == Core((r,), bound=False)
+    assert state.call(0) == Core((), bound=True)
     assert state.relaxed == {r}
-    assert isinstance(state.call((), 1), Sat)
+    assert isinstance(state.call(1), Sat)
 
 
 def test_linear_su_reports_improvements_strictly_decreasing():
@@ -122,13 +124,32 @@ def test_triple_agreement_with_brute_force():
             clause_len=min(3, num_vars),
         )
         expected = brute_force(f)
-        lin = linear_su(relax(f), seed=case)
-        core_guided = msu3(f, seed=case)
-        if expected == HARD_UNSAT:
-            assert isinstance(lin, HardUnsat), f
-            assert isinstance(core_guided, HardUnsat), f
-        else:
-            assert isinstance(lin, Optimum) and lin.cost == expected, f
-            assert isinstance(core_guided, Optimum) and core_guided.cost == expected, f
-            assert cost(f, lin.model) == expected
-            assert cost(f, core_guided.model) == expected
+        for outcome in (linear_su(relax(f), seed=case), msu3(f, seed=case), oll(f, seed=case)):
+            if expected == HARD_UNSAT:
+                assert isinstance(outcome, HardUnsat), f
+            else:
+                assert isinstance(outcome, Optimum) and outcome.cost == expected, f
+                assert cost(f, outcome.model) == expected
+
+
+def test_oll_cells_under_cubes_and_stops_match_brute_force():
+    """Under a cube and up to a stop, `oll` finds the cube's best model when
+    it costs less than the stop and no model otherwise, and every λ it
+    reports is a lower bound for the whole formula; with no stop it ends in
+    the cube's best model or HardUnsat."""
+    for case, (rng, f) in enumerate(small_draws(25, 60)):
+        for _ in range(4):
+            cube, stop = random_cube(rng, f), rng.randint(0, f.num_soft + 1)
+            outcome, reports = cell(f, cube, stop, seed=case)
+            assert reports == list(range(1, len(reports) + 1)), (f, cube, reports)
+            models = [outcome.cost] if isinstance(outcome, Optimum) else []
+            check_cell(f, cube, stop, models, reports[-1] if reports else 0)
+            if isinstance(outcome, Optimum):
+                assert cost(f, outcome.model) == outcome.cost
+                assert all(outcome.model[abs(l)] == (l > 0) for l in cube)
+            outcome, _reports = cell(f, cube, None, seed=case)
+            best = brute_force(with_cube(f, cube))
+            if best == HARD_UNSAT:
+                assert isinstance(outcome, HardUnsat), (f, cube)
+            else:
+                assert isinstance(outcome, Optimum) and outcome.cost == best, (f, cube)
