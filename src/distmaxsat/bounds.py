@@ -52,7 +52,7 @@ class BoundSet:
         return True
 
     def raise_lower(self, lam: int) -> bool:
-        """Lower-bound report (from the core-guided worker): λ = max(λ, lam)."""
+        """A proven lower bound (a task's `report_done`): λ = max(λ, lam)."""
         if lam <= self.lam:
             return False
         return self.apply_unsat(lam - 1)

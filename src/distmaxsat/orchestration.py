@@ -9,8 +9,8 @@ cost of the best model held (`num_soft + 1` before the first one) and λ a
 proven lower bound.  Workers report two kinds of fact, models and proofs:
 
 - `report_sat{cost, model}`: a model, sent as soon as it is found; it lowers μ.
-- `report_done{task, lb}`: exactly one per `assign_bound`/`assign_path`; `lb`
-  is the global lower bound the task proved, 0 if none.  It raises λ, and
+- `report_done{task, lb}`: exactly one per `assign_path`; `lb` is the
+  global lower bound the task proved, 0 if none.  It raises λ, and
   it is the only message that does.
 
 Which worker holds what is one ledger, `MasterBase.tasks`: each busy worker's
@@ -41,10 +41,12 @@ paths partition the search space.  The run ends in one place, as soon as
 Models only lower μ and proofs only raise λ, so a report that arrives after
 the master moved on still applies monotonically.
 
-A worker keeps one `CoreGuided` state for all its bound probes, which run
-bin-c on it.  A path task, task -1 included, runs `oll` under its path, on a
-state of its own, until λ reaches the μ it was sent: nothing carries from one
-cell to the next.
+Every task is one kind of cell, a cube and a stop: the worker runs `oll`
+under the cube, on a state of its own, until λ reaches the stop, so nothing
+carries from one cell to the next.  A guiding path is the cell (path, μ sent),
+task -1 the cell (∅, μ sent), and an sss bound probe at b the cell (∅, b + 1):
+it reports the optimum c and proves λ = c when c ≤ b, and proves λ = b + 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bounds import BoundSet, initial_bounds
-from .engine import Engine, Sat, Unsat
+from .engine import Engine, Unsat
 from .formula import WcnfFormula, cost, model_literals
-from .sequential import CoreGuided, Optimum, oll
+from .sequential import Optimum, oll
 from .transport import Message
 
 WHOLE_FORMULA_TASK = -1  # the lead's task: `oll` on the whole formula
@@ -79,11 +81,11 @@ def initial_upper_bound(f: WcnfFormula, seed: int = 0):
 # --------------------------------------------------------------------- master
 
 
-class Task(namedtuple("Task", "id cap path", defaults=(None,))):
-    """A worker's one live task: a bound probe (`path` None, `id` the bound),
-    a `GuidingPath` (`id` its generation index) or the whole formula (`path`
-    empty, `id` -1).  `cap` is the most its `report_done` may prove: bound+1
-    for a probe, the μ sent for a path."""
+class Task(namedtuple("Task", "id cap path", defaults=((),))):
+    """A worker's one live task, a cell: a `GuidingPath` (`id` its generation
+    index), or the empty cube for the whole formula (`id` -1) and for a bound
+    probe (`id` the bound).  `cap` is the cell's stop and the most its
+    `report_done` may prove: bound+1 for a probe, the μ sent for a path."""
 
     __slots__ = ()
 
@@ -205,7 +207,7 @@ class MasterBase:
         if self.finished:
             return
         lead, *helpers = self.worker_ids
-        self._assign(lead, Task(WHOLE_FORMULA_TASK, self.window.mu, ()))
+        self._assign(lead, Task(WHOLE_FORMULA_TASK, self.window.mu))
         self._begin()
         for wid in helpers:
             self._enlist(wid)
@@ -219,12 +221,8 @@ class MasterBase:
     def _assign(self, wid: str, task: Task) -> None:
         """Hand `wid` its next task; it must hold none."""
         self.tasks[wid] = task
-        if task.path is None:
-            msg = Message("assign_bound", "master", {"bound": task.id})
-        else:
-            decisions = () if task.id == WHOLE_FORMULA_TASK else task.path.decisions
-            msg = Message("assign_path", "master", {"task": task.id, "path": list(decisions), "mu": task.cap})
-        self.send(wid, msg)
+        decisions = task.path.decisions if task.path else ()
+        self.send(wid, Message("assign_path", "master", {"task": task.id, "path": list(decisions), "mu": task.cap}))
 
     def _conclude(self, src: str, task_id: int, lb: int) -> int:
         """Close `src`'s task; returns the lower bound it may add (0: none).
@@ -274,7 +272,9 @@ class MasterBase:
 
 
 class SssMaster(MasterBase):
-    """Search-space splitting: the lead runs `oll`, the helpers probe bounds."""
+    """Search-space splitting: the lead runs `oll`, the helpers probe bounds.
+    A probe at b is the cell (∅, b + 1): `oll` on the whole formula, stopped
+    once λ passes b."""
 
     def _begin(self) -> None:
         self.window.bounds = initial_bounds(self.window.mu, max(1, self.size - 1)).bounds
@@ -412,15 +412,12 @@ class WorkerNode:
         self.deadline = deadline
         self.clock = clock
         self.done = False
-        self._state: CoreGuided | None = None  # the probes' state: built on first use, kept for the run
 
     def hello(self) -> None:
         self.send(Message("hello", self.wid))
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind == "assign_bound":
-            self._test_bound(msg.payload["bound"])
-        elif msg.kind == "assign_path":
+        if msg.kind == "assign_path":
             self._solve_path(msg.payload["task"], msg.payload["path"], msg.payload["mu"])
         elif msg.kind == "terminate":
             self.done = True
@@ -431,36 +428,13 @@ class WorkerNode:
     def _report_done(self, task: int, lb: int) -> None:
         self.send(Message("report_done", self.wid, {"task": task, "lb": lb}))
 
-    def _core_guided(self) -> CoreGuided:
-        """The worker's one core-guided state, shared by every bound probe, so
-        learned clauses, the relaxed set and its totalizer carry over."""
-        if self._state is None:
-            self._state = CoreGuided(self.f, seed=self.seed)
-        return self._state
-
-    def _test_bound(self, bound: int) -> None:
-        """bin-c: a model of cost <= bound, or the proof λ > bound.  A core
-        with soft clauses outside R retries the same bound with them relaxed;
-        one without used no enforced soft clause, so every model violates
-        more than `bound` of R."""
-        state = self._core_guided()
-        while True:
-            answer = state.call(bound, deadline=self.deadline, clock=self.clock)
-            if isinstance(answer, Sat):
-                self._report_sat(cost(self.f, answer.model), answer.model)
-                self._report_done(bound, 0)
-                return
-            if not answer.softs:
-                self._report_done(bound, bound + 1)
-                return
-
     def _solve_path(self, task: int, path, mu: int) -> None:
         """`oll` under the path, on a fresh state, until its λ reaches μ; the
         model it finds is reported.  `report_done` carries the last λ that
         holds globally: μ, or the model's cost, when no core used a path
         literal, and less, down to 0, once one has.  No running λ goes out:
         each would be one more message ahead of the one that closes the
-        task."""
+        task.  A bound probe at b is the empty path with μ = b + 1."""
         proven = [0]
         outcome = oll(self.f, path, stop=mu, on_lower_bound=proven.append, seed=self.seed,
                       deadline=self.deadline, clock=self.clock)

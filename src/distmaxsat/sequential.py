@@ -3,11 +3,9 @@
 `linear_su` drives an upper bound downward from satisfying assignments;
 `msu3` and `oll` drive a lower bound upward from unsat cores.  `msu3` runs on
 a `CoreGuided` state: an engine over `relax(f)`, one totalizer over a relaxed
-set R, and R.  A distributed worker keeps one such state for all its bound
-probes (bin-c), so learned clauses, R and the totalizer carry from probe to
-probe.  `oll` builds a state of its own on each call, and a worker runs it on
-every path task, the whole-formula task included, so nothing carries from one
-cell to the next.
+set R, and R.  `oll` builds a state of its own on each call, and a
+distributed worker runs it on every task, a guiding path, the whole formula
+or a bound probe, so nothing carries from one cell to the next.
 """
 
 from __future__ import annotations
@@ -75,7 +73,8 @@ class Core(namedtuple("Core", "softs bound")):
 
 
 class CoreGuided:
-    """An engine over `relax(f)`, one totalizer over the relaxed set R, and R.
+    """An engine over `relax(f)`, one totalizer over the relaxed set R, and R:
+    the state of standalone `msu3`.
 
     A soft clause outside R is enforced by assuming its relaxation variable
     false.  Totalizer clauses only add fresh variables, which any model of

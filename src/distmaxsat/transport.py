@@ -23,7 +23,6 @@ class MessageError(ValueError):
 # types: "int", "lits" (comma-separated literals), "str"
 SCHEMA: dict[str, dict[str, str]] = {
     "hello": {},
-    "assign_bound": {"bound": "int"},
     "assign_path": {"task": "int", "path": "lits", "mu": "int"},
     "report_sat": {"cost": "int", "model": "lits"},
     "report_done": {"task": "int", "lb": "int"},

@@ -596,12 +596,12 @@ def test_worker_ends_a_bad_line_from_its_master_in_one_error_line(instance):
             with conn:
                 conn.settimeout(30)
                 assert conn.makefile("rb").readline().startswith(b"kind=hello ")
-                conn.sendall(b"kind=assign_bound sender=master bound=x\n")
+                conn.sendall(b"kind=assign_path sender=master task=0 path= mu=x\n")
                 out, err = worker.communicate(timeout=30)
         finally:
             if worker.poll() is None:
                 worker.kill()
                 worker.communicate()
     assert worker.returncode == 1
-    assert err == "error: assign_bound: bad value for bound: 'x'\n"
+    assert err == "error: assign_path: bad value for mu: 'x'\n"
     assert "Traceback" not in out

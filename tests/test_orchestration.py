@@ -79,7 +79,8 @@ def with_cube(f, cube):
 
 
 def probe(worker, bound):
-    return answers(worker, "assign_bound", {"bound": bound})
+    """What an sss helper sends for a probe at `bound`: the cell (∅, bound + 1)."""
+    return answers(worker, "assign_path", {"task": bound, "path": [], "mu": bound + 1})
 
 
 def random_cube(rng, f):
@@ -97,9 +98,11 @@ def small_draws(seed, count):
 
 
 def check_probe(f, bound, models, lb):
+    """A probe at b finds the optimum and proves it when it is at most b,
+    and proves λ = b + 1 otherwise."""
     opt = brute_force(f)
     if opt <= bound:
-        assert len(models) == 1 and opt <= models[0] <= bound and lb == 0, (f, bound, models, lb)
+        assert models == [opt] and lb == opt, (f, bound, models, lb)
     else:
         assert models == [] and lb == bound + 1, (f, bound, models, lb)
 
@@ -130,15 +133,17 @@ def test_cell_below_mu_closes_without_a_model_exactly_when_the_cube_has_none_che
 
 
 def test_relaxed_set_carried_across_tasks_with_different_cubes_stays_sound():
-    """One worker takes probes and cells in turn: each probe starts from the
-    relaxed set, totalizer and learned clauses of the probes before, and each
-    cell from a state of its own."""
+    """One worker takes probes and cells in turn, each on a state of its own:
+    nothing an earlier task relaxed or learned reaches a later one, so each
+    probe answers as on a fresh worker."""
     for case, (rng, f) in enumerate(small_draws(23, 40)):
         worker = WorkerNode("w1", f, send=None, seed=case)
         for _ in range(8):
             if rng.random() < 0.3:
                 bound = rng.randint(0, f.num_soft)
-                check_probe(f, bound, *probe(worker, bound))
+                answer = probe(worker, bound)
+                assert answer == probe(WorkerNode("w1", f, send=None, seed=case), bound), (f, bound)
+                check_probe(f, bound, *answer)
             else:
                 cube, mu = random_cube(rng, f), rng.randint(1, f.num_soft + 1)
                 check_cell(f, cube, mu, *solve_path(cube, mu, f, worker))
@@ -437,15 +442,15 @@ def test_worker_ends_cleanly_on_terminate():
 
 
 WORKER_REPORTS = {"hello", "report_sat", "report_done"}
-MASTER_ORDERS = {"assign_bound", "assign_path", "terminate"}
+MASTER_ORDERS = {"assign_path", "terminate"}
 
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_workers_send_models_proofs_and_one_done_per_task(monkeypatch, algo, workers):
     """Workers send only hello and the two report kinds, the master only
-    tasks and terminate, and workers answer every assign_bound/assign_path
-    they handle with exactly one report_done that names its task, in order."""
+    tasks and terminate, and workers answer every assign_path they handle
+    with exactly one report_done that names its task, in order."""
     sent = []
     send = SimBus.send
 
@@ -473,10 +478,7 @@ def test_workers_send_models_proofs_and_one_done_per_task(monkeypatch, algo, wor
         assert {m.kind for _src, dst, m in sent if dst == "master"} <= WORKER_REPORTS
         assert {m.kind for src, _dst, m in sent if src == "master"} <= MASTER_ORDERS
         for wid in (f"w{i}" for i in range(1, workers + 1)):
-            tasks = [
-                m.payload["bound"] if m.kind == "assign_bound" else m.payload["task"]
-                for w, m in handled if w == wid and m.kind in ("assign_bound", "assign_path")
-            ]
+            tasks = [m.payload["task"] for w, m in handled if w == wid and m.kind == "assign_path"]
             done = [m.payload["task"] for src, _dst, m in sent if src == wid and m.kind == "report_done"]
             assert done == tasks, (seed, wid)
             dones += len(done)
@@ -498,7 +500,9 @@ def test_sss_caps_a_probe_lower_bound_at_bound_plus_one():
     f = pigeonhole(2)
     master, sent = begun_master(SssMaster, f, ["w1", "w2", "w3"])
     mu = master.window.mu
-    probes = {dst: m.payload["bound"] for dst, m in sent if m.kind == "assign_bound"}
+    probes = {dst: m.payload["task"] for dst, m in sent if m.kind == "assign_path" and dst != "w1"}
+    assert all(m.payload == {"task": probes[dst], "path": [], "mu": probes[dst] + 1}
+               for dst, m in sent if dst in probes)
     assert mu >= 3 and probes["w2"] + 1 < mu
     # A live probe claiming far more than it can prove lifts λ to bound+1 only.
     master.on_message("w2", Message("report_done", "w2", {"task": probes["w2"], "lb": mu + 5}))
@@ -607,15 +611,16 @@ def test_a_path_cell_answers_as_on_a_fresh_worker_whatever_came_before():
             check_cell(f, cube, mu, *answer)
 
 
-def test_an_sss_worker_builds_one_engine_for_all_its_roles(monkeypatch):
-    """Every bound probe a worker takes runs on its one engine; task -1 after
-    them builds its own."""
+def test_an_sss_worker_builds_one_engine_per_task(monkeypatch):
+    """Every bound probe a worker takes, and task -1 after them, runs on an
+    engine of its own."""
     f = ENGINE_DRAW
     mu, _model = initial_upper_bound(f, seed=1)
     bounds = initial_bounds(mu, 3).bounds[1:]
     assert len(bounds) == 3
-    tasks = [("assign_bound", {"bound": b}) for b in bounds] + [("assign_path", {"task": -1, "path": [], "mu": mu})]
-    assert engines_built(monkeypatch, f, tasks) == (2, bounds + [-1])
+    tasks = [("assign_path", {"task": b, "path": [], "mu": b + 1}) for b in bounds]
+    tasks.append(("assign_path", {"task": -1, "path": [], "mu": mu}))
+    assert engines_built(monkeypatch, f, tasks) == (4, bounds + [-1])
 
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
@@ -638,16 +643,16 @@ def test_hard_unsat_run_ends_before_any_task(monkeypatch, algo):
 # its messages or their order shows here.
 SSS_TRACE_DIGESTS = [
     ((1000, 10, 22, 20), 2, 0, "172be700c31bcd88"),
-    ((1000, 10, 22, 20), 3, 0, "8eb43ea3128531d8"),
-    ((1001, 12, 26, 24), 2, 1, "ef498554e1bf6dd7"),
-    ((1001, 12, 26, 24), 3, 1, "0899b22cb1e45a5a"),
-    ((1002, 14, 31, 28), 2, 2, "8bbd0c5d697d6021"),
-    ((1002, 14, 31, 28), 3, 2, "425757e9d753bd91"),
-    ((1003, 16, 35, 32), 2, 3, "58ee0637c626c570"),
-    ((1003, 16, 35, 32), 3, 3, "73f2fde4203ed004"),
-    ((6, 30, 66, 60), 3, 6, "85cff3f3bf105a61"),
-    ("pigeonhole(2)", 2, 7, "37ba0722daaec192"),
-    ("pigeonhole(2)", 3, 7, "0520ea89cda1e6b9"),
+    ((1000, 10, 22, 20), 3, 0, "84c309b5aca22b94"),
+    ((1001, 12, 26, 24), 2, 1, "c223a7204be250f9"),
+    ((1001, 12, 26, 24), 3, 1, "6f29cef0d3a3c183"),
+    ((1002, 14, 31, 28), 2, 2, "053d7238f84a9309"),
+    ((1002, 14, 31, 28), 3, 2, "99b42f95225e674b"),
+    ((1003, 16, 35, 32), 2, 3, "d3590f05c0e9811a"),
+    ((1003, 16, 35, 32), 3, 3, "a39b74a7d8162011"),
+    ((6, 30, 66, 60), 3, 6, "8c8d026f0eec2073"),
+    ("pigeonhole(2)", 2, 7, "a991c7f9eae0cdaf"),
+    ("pigeonhole(2)", 3, 7, "7b5b05350b3753b6"),
 ]
 
 
@@ -669,8 +674,8 @@ GP_TRACE_DIGESTS = [
 
 
 # msu3 alone on the same draws: (cost, conflicts summed over its engines).
-# The sss bound probes share its `CoreGuided.call`; its own search must not
-# move when theirs do.
+# Only standalone `msu3` runs on `CoreGuided`; its search must not move when
+# the sss and gp cells' searches do.
 MSU3_PINS = [
     ((1000, 10, 22, 20), 0, 3, 2),
     ((1001, 12, 26, 24), 1, 6, 11),
@@ -728,6 +733,15 @@ def test_sim_gp_proves_a_scale_draw_in_fewer_conflicts_than_msu3(monkeypatch):
     assert sum(e.conflicts for e in engines) < SCALE_DRAW_MSU3_CONFLICTS
 
 
+def test_sim_sss_proves_a_scale_draw_in_fewer_conflicts_than_msu3(monkeypatch):
+    """The same for sim sss with 3 workers: the master's engine, task -1's
+    and each bound probe's, every probe a cell of its own."""
+    engines = spy_engines(monkeypatch)
+    outcome = run_sim(gen_random(5, 70, 80, 200, 3), "sss", num_workers=3, seed=0)
+    assert (outcome.verdict.status, outcome.verdict.cost) == ("optimum", 36)
+    assert sum(e.conflicts for e in engines) < SCALE_DRAW_MSU3_CONFLICTS
+
+
 def hello_from(wid):
     return Message("hello", wid)
 
@@ -763,7 +777,8 @@ def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
         [task] = (decode_message(data) for data in bus.queues[("master", "w2")])
         if algo == "sss":
             split = initial_bounds(mu, size - 1).bounds
-            assert task.kind == "assign_bound" and task.payload["bound"] == (split[1:] or split)[0]
+            bound = (split[1:] or split)[0]
+            assert task == Message("assign_path", "master", {"task": bound, "path": [], "mu": bound + 1})
         else:
             sim_roots = [p for p in run_sim(f, "gp", num_workers=size, seed=case).master.generated_paths
                          if p.parent_index is None]

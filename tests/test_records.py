@@ -22,7 +22,7 @@ RECORDS = [
     (lambda: Unsat(frozenset()), "core"),
     (lambda: Implied(frozenset({2})), "literals"),
     (lambda: encode_totalizer([1, 2, 3], 4, k=1), "outputs"),
-    (lambda: Message("assign_bound", "master", {"bound": 3}), "payload"),
+    (lambda: Message("assign_path", "master", {"task": 3, "path": [], "mu": 4}), "payload"),
     (lambda: Message("hello", "w1"), "kind"),
     (lambda: Optimum(1, {1: True, 2: False}), "cost"),
     (lambda: HardUnsat(), "cost"),
@@ -48,7 +48,7 @@ def test_records_keep_their_defaults_and_properties():
     first, second = Message("hello", "w1"), Message("hello", "w1")
     assert first.payload == {} and first.payload is not second.payload
     assert GuidingPath((1, -2), 0).parent_index is None and GuidingPath((1, -2), 0).depth == 2
-    assert Task(2, 3).path is None
+    assert Task(2, 3).path == ()
     assert Verdict("unknown") == Verdict(status="unknown", cost=None, model=None)
     assert FORMULA.num_soft == 2 and relax(FORMULA).num_vars == 4
     assert HardUnsat() != Optimum(0, {})

@@ -15,11 +15,11 @@ from distmaxsat.transport import (
 )
 
 
-def test_assign_bound_roundtrip():
-    m = Message("assign_bound", "master", {"bound": 6})
+def test_assign_path_roundtrip():
+    m = Message("assign_path", "master", {"task": 6, "path": [], "mu": 7})
     line = encode_message(m)
     assert line.endswith(b"\n")
-    assert b"bound=6" in line
+    assert b"task=6 path= mu=7" in line
     assert decode_message(line) == m
 
 
@@ -30,7 +30,7 @@ def test_terminate_roundtrip_with_model():
 
 def test_message_requires_schema_fields():
     with pytest.raises(MessageError, match="missing"):
-        Message("assign_bound", "master", {})
+        Message("assign_path", "master", {})
     with pytest.raises(MessageError, match="unexpected"):
         Message("hello", "w1", {"role": "worker"})
     with pytest.raises(MessageError, match="unknown"):
@@ -68,11 +68,14 @@ def test_decode_truncated_line():
 def test_decode_unknown_kind():
     with pytest.raises(MessageError, match="unknown message kind"):
         decode_message(b"kind=frobnicate sender=w1\n")
+    # Bound probes travel as assign_path cells with an empty path.
+    with pytest.raises(MessageError, match="unknown message kind: assign_bound"):
+        decode_message(b"kind=assign_bound sender=master bound=6\n")
 
 
 def test_decode_missing_field():
     with pytest.raises(MessageError, match="missing"):
-        decode_message(b"kind=assign_bound sender=master\n")
+        decode_message(b"kind=assign_path sender=master task=6 path=\n")
 
 
 def test_decode_trailing_garbage_field():
@@ -82,7 +85,7 @@ def test_decode_trailing_garbage_field():
 
 def test_decode_bad_value():
     with pytest.raises(MessageError, match="bad value"):
-        decode_message(b"kind=assign_bound sender=master bound=six\n")
+        decode_message(b"kind=assign_path sender=master task=6 path= mu=six\n")
 
 
 def test_decode_assign_path_three_literals():
@@ -94,11 +97,11 @@ def test_decode_assign_path_three_literals():
 def test_simbus_single_link_fifo():
     bus = SimBus(0, ["a", "b"])
     for i in range(5):
-        bus.send("a", "b", Message("assign_bound", "a", {"bound": i}))
+        bus.send("a", "b", Message("assign_path", "a", {"task": i, "path": [], "mu": i + 1}))
     got = []
     while bus.pending():
         _, _, m = bus.deliver_next()
-        got.append(m.payload["bound"])
+        got.append(m.payload["task"])
     assert got == list(range(5))
 
 
