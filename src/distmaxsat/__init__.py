@@ -11,9 +11,9 @@ from .formula import (
     cost,
     make_formula,
 )
-from .engine import Engine, Sat, Unsat, Implied, Conflict
+from .engine import Engine, Sat, Unsat
 from .cardinality import AtMostEncoding, encode_totalizer, bound_assumptions
-from .sequential import OptOutcome, Optimum, HardUnsat, CoreGuided, linear_su, msu3, oll
+from .sequential import OptOutcome, Optimum, HardUnsat, linear_su, msu3, oll
 from .oracle import brute_force, gen_random, HARD_UNSAT
 
 __all__ = [
@@ -28,15 +28,12 @@ __all__ = [
     "Engine",
     "Sat",
     "Unsat",
-    "Implied",
-    "Conflict",
     "AtMostEncoding",
     "encode_totalizer",
     "bound_assumptions",
     "OptOutcome",
     "Optimum",
     "HardUnsat",
-    "CoreGuided",
     "linear_su",
     "msu3",
     "oll",

@@ -129,7 +129,7 @@ def _run_sim(args, f, reporter, deadline) -> int:
         f, args.algo, num_workers=args.workers, seed=args.seed,
         on_improve=reporter.improve, deadline=deadline, clock=time.monotonic,
     )
-    if args.dump_paths and args.algo == "gp" and hasattr(outcome.master, "generated_paths"):
+    if args.dump_paths and args.algo == "gp":
         from .lookahead import dump_paths
         with open(args.dump_paths, "w", encoding="utf-8") as fh:
             fh.write(dump_paths(outcome.master.generated_paths))

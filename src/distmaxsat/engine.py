@@ -6,9 +6,10 @@ multiplicative decay, phase saving and Luby restarts.  Assumptions are placed
 as the first decisions; when one is contradicted, the subset of assumptions
 responsible is returned as the core.
 
-Beyond `solve`, the engine exposes `propagate_under`, `analyze_and_learn` and
-its `watches` lists so the guiding-path generator can reuse the propagation
-and analysis machinery instead of reimplementing it.
+Beyond `solve`, the engine exposes `propagate_under`, which learns from any
+conflict it meets above level 0, and its `watches` lists, so the guiding-path
+generator reuses the propagation and analysis machinery instead of
+reimplementing it.
 
 Watch lists are lazy (Chaff, MiniSat).  After every conflict-free
 propagation a false watched literal means the other watched literal is true
@@ -53,42 +54,17 @@ LEARNED_CAP_FACTOR = 10
 class Clause:
     """One clause in the engine; positions 0 and 1 are the watched literals."""
 
-    __slots__ = ("lits", "learned")
+    __slots__ = ("lits",)
 
-    def __init__(self, lits, learned=False):
+    def __init__(self, lits):
         self.lits = list(lits)
-        self.learned = learned
 
     def __repr__(self):
-        return f"Clause({self.lits}{', learned' if self.learned else ''})"
+        return f"Clause({self.lits})"
 
 
 Sat = namedtuple("Sat", "model")  # variable -> bool
 Unsat = namedtuple("Unsat", "core")  # the frozenset of assumptions that cannot all hold
-
-
-class Implied(namedtuple("Implied", "literals")):
-    """Unit-propagation closure of the given decisions (decisions excluded)."""
-
-    __slots__ = ()
-
-
-class Conflict:
-    """A live conflict left on the trail for `analyze_and_learn`.
-
-    `clause` is None when the contradiction is a decision literal whose
-    complement was already implied (nothing to analyze), or a root-level
-    contradiction.
-    """
-
-    __slots__ = ("clause", "level", "trail", "_obj", "_token")
-
-    def __init__(self, clause, level: int, trail: tuple[int, ...], _obj: Clause | None = None, _token: int = -1):
-        self.clause = clause
-        self.level = level
-        self.trail = trail
-        self._obj = _obj
-        self._token = _token
 
 
 def luby(i: int) -> int:
@@ -129,8 +105,6 @@ class Engine:
         self.conflicts = 0
         self.restarts = 0
         self._rng = random.Random(seed)
-        self._conflict_token = 0
-        self._live_conflict: int | None = None
         self.add_vars(num_vars)
         for c in clauses:
             self.add_clause(c)
@@ -287,7 +261,6 @@ class Engine:
         del trail[boundary:]
         del trail_lim[level:]
         self.qhead = boundary
-        self._live_conflict = None
 
     def _new_level(self) -> None:
         self.trail_lim.append(len(self.trail))
@@ -355,7 +328,7 @@ class Engine:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
         else:
-            clause = Clause(learnt, learned=True)
+            clause = Clause(learnt)
             self.learned_clauses.append(clause)
             self._attach(clause)
             self._enqueue(learnt[0], clause)
@@ -478,11 +451,12 @@ class Engine:
 
     # ------------------------------------------------- lookahead surface
 
-    def propagate_under(self, decisions) -> Implied | Conflict:
-        """Unit-propagation closure of `decisions` from decision level 0.
+    def propagate_under(self, decisions) -> frozenset[int] | None:
+        """Unit-propagation closure of `decisions` from decision level 0,
+        decisions excluded, or None on a conflict.
 
-        On conflict the trail is left live so the caller may run
-        `analyze_and_learn`; otherwise the engine is restored to level 0.
+        A conflict in a clause above level 0 is learned from first, through
+        `analyze_and_learn`.  The engine always ends at level 0.
         """
         decisions = list(decisions)
         dec_set = set(decisions)
@@ -490,12 +464,11 @@ class Engine:
             raise ValueError("decisions contain complementary literals")
         self._cancel_until(0)
         if self.root_unsat:
-            return self._live(Conflict(clause=None, level=0, trail=tuple(self.trail)))
+            return None
         if self._propagate() is not None:
             self._mark_root_unsat()
-            return self._live(Conflict(clause=None, level=0, trail=tuple(self.trail)))
+            return None
         trail = self.trail
-        trail_lim = self.trail_lim
         assigns = self.assigns
         for d in decisions:
             if not 0 < abs(d) <= self.num_vars:
@@ -506,44 +479,25 @@ class Engine:
             if val < 0:
                 # Complement already implied; no falsified clause to analyze.
                 self._cancel_until(0)
-                return Conflict(clause=None, level=0, trail=())
+                return None
             self._new_level()
             self._enqueue(d, None)
             confl = self._propagate()
             if confl is not None:
-                return self._live(
-                    Conflict(
-                        clause=tuple(confl.lits),
-                        level=len(trail_lim),
-                        trail=tuple(trail),
-                        _obj=confl,
-                    )
-                )
+                self.analyze_and_learn(confl)
+                return None
         implied = frozenset(trail) - dec_set
         self._cancel_until(0)
-        return Implied(implied)
+        return implied
 
-    def _live(self, conflict: Conflict) -> Conflict:
-        self._conflict_token += 1
-        conflict._token = self._conflict_token
-        self._live_conflict = self._conflict_token
-        return conflict
-
-    def analyze_and_learn(self, conflict: Conflict) -> tuple[int, ...]:
-        """Learn the first-UIP clause from a live conflict and return to level 0."""
-        if conflict._obj is None or conflict._token != self._live_conflict:
-            raise ValueError("analyze_and_learn requires a live clause conflict")
-        if conflict.level == 0:
-            raise ValueError("root-level conflict has nothing to learn")
+    def analyze_and_learn(self, confl: Clause) -> None:
+        """Learn the first-UIP clause from `confl`, falsified by the current
+        trail above level 0, and return to level 0."""
+        if not self.trail_lim:
+            raise ValueError("a conflict at level 0 has nothing to learn")
         self.conflicts += 1
-        learnt, backtrack = self._analyze(conflict._obj)
+        learnt, backtrack = self._analyze(confl)
         self._record_learned(learnt, backtrack)
         self._cancel_until(0)
-        self._live_conflict = None
         if self._propagate() is not None:
             self._mark_root_unsat()
-        return tuple(learnt)
-
-    def discard_conflict(self) -> None:
-        """Drop a live conflict without learning."""
-        self._cancel_until(0)

@@ -2,10 +2,10 @@
 
 The generator grows a binary tree over variables that occur in soft clauses,
 expanding open prefixes from a FIFO queue that starts at `d0`.  Expanding a
-node unit-propagates its decision prefix through a CDCL engine and learns from
-a conflict; otherwise the node is emitted as a guiding path once the dynamic
-cutoff fires, |D| * |D ∪ I| > θ * |Vars|, or it splits on the best soft
-variable and queues both children.  θ grows 5% per node and shrinks 30% on
+node unit-propagates its decision prefix through a CDCL engine, which learns
+from a conflict itself.  Otherwise the node is emitted as a guiding path once
+the dynamic cutoff fires, |D| * |D ∪ I| > θ * |Vars|, or it splits on the best
+soft variable and queues both children.  θ grows 5% per node and shrinks 30% on
 conflicts and on the depth guard |D| + log2(#hard) > 25, so conflict-rich
 regions yield shorter paths.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 
-from .engine import Conflict, Engine, Implied
+from .engine import Engine
 
 ROOT_CUTOFF = 1000.0
 RESPLIT_CUTOFF = 5000.0
@@ -180,27 +180,22 @@ class PathGenerator:
             expanded += 1
             self.theta *= CUTOFF_GROWTH
             trace.append(("grow", self.theta))
-            outcome = engine.propagate_under(decisions)
-            if isinstance(outcome, Conflict):
+            implied = engine.propagate_under(decisions)
+            if implied is None:
                 self.theta *= CUTOFF_SHRINK
                 trace.append(("shrink", self.theta))
-                if outcome.clause is not None and outcome.level > 0:
-                    engine.analyze_and_learn(outcome)
-                else:
-                    engine.discard_conflict()
                 trace.append(("conflict", self.theta))
                 if expanded == 1:
                     result.root_conflict = True
                 continue
-            assert isinstance(outcome, Implied)
             if self._depth_guard(len(decisions)):
                 self.theta *= CUTOFF_SHRINK
                 trace.append(("shrink", self.theta))
-            if len(decisions) * (len(decisions) + len(outcome.literals)) > self.theta * self.var_count:
+            if len(decisions) * (len(decisions) + len(implied)) > self.theta * self.var_count:
                 self._emit(decisions, parent_index, result, "emit")
                 continue
             assigned = {abs(l): l > 0 for l in decisions}
-            for l in outcome.literals:
+            for l in implied:
                 assigned[abs(l)] = l > 0
             var = choose_variable(engine, assigned, self.soft_vars, self.l_max)
             if var is None:

@@ -319,7 +319,6 @@ class GpMaster(MasterBase):
         self.pending = []  # guiding paths waiting for a worker
         self.resplit_done: set[int] = set()
         self.terminated_early = False
-        self.pending_at_termination = 0
         self.idle: list[str] = []  # helpers without a task, first in, first out
         self.generated_paths = []
 
@@ -391,7 +390,6 @@ class GpMaster(MasterBase):
             self._sort_pending()
 
     def _finish(self) -> None:
-        self.pending_at_termination = len(self.pending)
         self.terminated_early = self._paths_open()
         super()._finish()
 

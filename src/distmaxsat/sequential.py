@@ -1,11 +1,10 @@
 """Sequential partial MaxSAT algorithms: linear SAT/UNSAT search, MSU3 and OLL.
 
 `linear_su` drives an upper bound downward from satisfying assignments;
-`msu3` and `oll` drive a lower bound upward from unsat cores.  `msu3` runs on
-a `CoreGuided` state: an engine over `relax(f)`, one totalizer over a relaxed
-set R, and R.  `oll` builds a state of its own on each call, and a
-distributed worker runs it on every task, a guiding path, the whole formula
-or a bound probe, so nothing carries from one cell to the next.
+`msu3` and `oll` drive a lower bound upward from unsat cores.  Each is one
+loop over an engine of its own.  A distributed worker runs `oll` on every
+task, a guiding path, the whole formula or a bound probe, so nothing carries
+from one cell to the next.
 """
 
 from __future__ import annotations
@@ -64,74 +63,44 @@ def linear_su(rf: RelaxedFormula, on_improve=None, seed: int = 0, deadline=None,
         bound = found - 1
 
 
-class Core(namedtuple("Core", "softs bound")):
-    """An unsat `CoreGuided.call`: `softs`, its soft clauses outside R (now in
-    R); `bound`, it holds the at-most literal.  Neither: the hard clauses
-    alone are unsatisfiable."""
-
-    __slots__ = ()
-
-
-class CoreGuided:
-    """An engine over `relax(f)`, one totalizer over the relaxed set R, and R:
-    the state of standalone `msu3`.
-
-    A soft clause outside R is enforced by assuming its relaxation variable
-    false.  Totalizer clauses only add fresh variables, which any model of
-    `relax(f)` satisfies with each output set to its count, and learned
-    clauses follow from the rest: a model or core found here holds for `f`,
-    whatever bounds and R earlier calls used.
-    """
-
-    def __init__(self, f: WcnfFormula, seed: int = 0):
-        self.f = f
-        rf = relax(f)
-        self.relax_vars = rf.relax_vars
-        self.engine = Engine(rf.clauses, num_vars=rf.num_vars, seed=seed)
-        self.totalizer = Totalizer(self.engine)
-        self.relaxed: set[int] = set()  # R: relaxation variables whose clauses may be violated
-
-    def call(self, b: int, deadline=None, clock=None) -> Sat | Core:
-        """One SAT call with every soft clause outside R enforced and at most
-        b violated in R.  A core's soft clauses outside R join R."""
-        enforce = [-r for r in self.relax_vars if r not in self.relaxed]
-        at_most = self.totalizer.at_most(b)
-        result = self.engine.solve(enforce + at_most, deadline=deadline, clock=clock, model_vars=self.f.num_vars)
-        if isinstance(result, Sat):
-            return result
-        core = result.core
-        # The bound literal is told apart by identity: a totalizer over one
-        # input has that input, a relaxation variable in R, as its output.
-        softs = tuple(sorted(-l for l in core if l not in at_most))
-        self.relaxed.update(softs)
-        self.totalizer.extend(softs)
-        return Core(softs, any(l in core for l in at_most))
-
-
 def msu3(f: WcnfFormula, on_lower_bound=None, seed: int = 0, deadline=None, clock=None) -> OptOutcome:
     """Core-guided search: relax only the soft clauses that appear in cores.
 
-    Each unsat core moves its soft clauses into the relaxed set and the lower
-    bound λ grows by one; the next call merges them into the one totalizer and
-    raises its k to the new bound, so nothing is re-encoded.
+    One engine over `relax(f)`, one totalizer over the relaxed set R, and R.
+    Each SAT call assumes ¬r for every soft clause outside R, then at most λ
+    violated in R.  Each unsat core moves its soft clauses into R and λ grows
+    by one; the next call merges them into the totalizer and raises its k to
+    the new λ, so nothing is re-encoded.  Totalizer clauses only add fresh
+    variables, which any model of `relax(f)` satisfies with each output set to
+    its count, and learned clauses follow from the rest: every model and core
+    holds for `f`, whatever λ and R earlier calls used.
 
     Invariant: every model of the hard clauses violates at least λ soft
     clauses in R.  A core with soft clauses outside R keeps it at λ + 1: a
     model violates one of them, which now joins R, or satisfies them all and
     so exceeds λ in R.  `on_lower_bound(λ)` hears each λ, and `num_soft + 1`
-    when a core holds neither a soft clause nor the bound: the hard clauses
-    alone are unsatisfiable.
+    when a core is empty: the hard clauses alone are unsatisfiable.
     """
-    state = CoreGuided(f, seed=seed)
+    rf = relax(f)
+    engine = Engine(rf.clauses, num_vars=rf.num_vars, seed=seed)
+    totalizer = Totalizer(engine)
+    relaxed: set[int] = set()  # R: relaxation variables whose clauses may be violated
     lam = 0
     while True:
-        answer = state.call(lam, deadline=deadline, clock=clock)
-        if isinstance(answer, Sat):
-            return Optimum(cost(f, answer.model), answer.model)
-        if not answer.softs and not answer.bound:
+        enforce = [-r for r in rf.relax_vars if r not in relaxed]
+        at_most = totalizer.at_most(lam)
+        result = engine.solve(enforce + at_most, deadline=deadline, clock=clock, model_vars=f.num_vars)
+        if isinstance(result, Sat):
+            return Optimum(cost(f, result.model), result.model)
+        if not result.core:
             if on_lower_bound is not None:
                 on_lower_bound(f.num_soft + 1)
             return HardUnsat()
+        # |R| >= λ, so a bound literal is a totalizer output over two or
+        # more inputs, never a relaxation variable.
+        softs = sorted(-l for l in result.core if l not in at_most)
+        relaxed.update(softs)
+        totalizer.extend(softs)
         lam += 1
         if on_lower_bound is not None:
             on_lower_bound(lam)

@@ -231,7 +231,7 @@ def test_criterion_6_early_termination():
         out = run_sim(f, "gp", num_workers=4, seed=seed)
         assert out.verdict.status == "optimum" and out.verdict.cost == expected
         assert out.master.terminated_early
-        assert out.master.pending_at_termination > 0
+        assert len(out.master.pending) > 0
     assert time.monotonic() - start < 30
     report(6, "early termination on proof-independent cores")
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from distmaxsat.engine import Conflict, Engine, Implied, Sat, Unsat, luby
+from distmaxsat.engine import Engine, Sat, Unsat, luby
 
 from conftest import brute_force_sat, naive_propagate, random_cnf
 
@@ -128,28 +128,23 @@ def test_assumption_verdicts_and_cores_match_brute_force():
 
 def test_propagate_under_chain():
     e = Engine([(-1, 2), (-2, 3)], num_vars=3)
-    outcome = e.propagate_under([1])
-    assert isinstance(outcome, Implied)
-    assert outcome.literals == {2, 3}
+    assert e.propagate_under([1]) == {2, 3}
     assert e.decision_level == 0
 
 
 def test_propagate_under_conflict():
     # Level-0 unit (-2) already implies -1, so deciding 1 is contradicted.
     e = Engine([(-1, 2), (-2,)], num_vars=2)
-    outcome = e.propagate_under([1])
-    assert isinstance(outcome, Conflict)
-    e.discard_conflict()
+    assert e.propagate_under([1]) is None
+    assert e.decision_level == 0
+    assert e.conflicts == 0  # no falsified clause, nothing learned
 
 
 def test_propagate_under_clause_conflict():
     e = Engine([(-1, 2), (-2, 3), (-1, -3)], num_vars=3)
-    outcome = e.propagate_under([1])
-    assert isinstance(outcome, Conflict)
-    assert outcome.clause is not None
-    assert set(outcome.trail) >= {1, 2}
-    e.discard_conflict()
+    assert e.propagate_under([1]) is None
     assert e.decision_level == 0
+    assert e.conflicts == 1  # the falsified clause was analyzed
 
 
 def test_propagate_under_rejects_complementary():
@@ -172,30 +167,27 @@ def test_propagate_under_matches_naive_fixpoint():
         if e.root_unsat:
             continue
         expected, naive_conflict = naive_propagate(clauses, decisions)
-        outcome = e.propagate_under(decisions)
-        if isinstance(outcome, Conflict):
+        implied = e.propagate_under(decisions)
+        if implied is None:
             assert naive_conflict
-            e.discard_conflict()
+            assert e.decision_level == 0
         else:
             assert not naive_conflict
-            assert outcome.literals == expected
+            assert implied == expected
 
 
 def test_analyze_learns_negation_of_bad_decision():
     e = Engine([(-1, 2), (-1, -2)], num_vars=2)
-    outcome = e.propagate_under([1])
-    assert isinstance(outcome, Conflict)
-    learned = e.analyze_and_learn(outcome)
-    assert learned == (-1,)
-    assert e.assigns[-1] > 0  # asserted at level 0
+    assert e.propagate_under([1]) is None
+    assert e.decision_level == 0
+    assert e.assigns[-1] > 0 and e.levels[1] == 0  # ¬1 learned and asserted at level 0
 
 
 def test_analyze_requires_live_conflict():
     e = Engine([(-1, 2)], num_vars=2)
-    outcome = e.propagate_under([1])
-    assert isinstance(outcome, Implied)
-    with pytest.raises(ValueError):
-        e.analyze_and_learn(Conflict(clause=(1,), level=1, trail=(1,)))
+    assert e.propagate_under([1]) == {2}
+    with pytest.raises(ValueError, match="level 0"):
+        e.analyze_and_learn(e.clauses[0])
 
 
 def test_learned_clauses_implied_by_originals(learned):
@@ -289,9 +281,7 @@ def test_watch_invariant_after_propagation():
             check_lazy_watch_invariant(e)
             checked_above_root += 1
         e._cancel_until(0)
-        outcome = e.propagate_under(decisions)
-        if isinstance(outcome, Conflict):
-            e.discard_conflict()
+        e.propagate_under(decisions)
         check_lazy_watch_invariant(e)
         e.solve()
         check_lazy_watch_invariant(e)

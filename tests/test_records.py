@@ -5,11 +5,11 @@ import pytest
 
 from distmaxsat.bounds import BoundSet
 from distmaxsat.cardinality import encode_totalizer
-from distmaxsat.engine import Implied, Sat, Unsat
+from distmaxsat.engine import Sat, Unsat
 from distmaxsat.formula import WcnfFormula, relax
 from distmaxsat.lookahead import GuidingPath
 from distmaxsat.orchestration import SimOutcome, Task, Verdict
-from distmaxsat.sequential import Core, HardUnsat, Optimum
+from distmaxsat.sequential import HardUnsat, Optimum
 from distmaxsat.transport import Message
 
 FORMULA = WcnfFormula(2, ((1, 2),), ((-1,), (-2,)))
@@ -20,13 +20,11 @@ RECORDS = [
     (lambda: relax(FORMULA), "clauses"),
     (lambda: Sat({1: True}), "model"),
     (lambda: Unsat(frozenset()), "core"),
-    (lambda: Implied(frozenset({2})), "literals"),
     (lambda: encode_totalizer([1, 2, 3], 4, k=1), "outputs"),
     (lambda: Message("assign_path", "master", {"task": 3, "path": [], "mu": 4}), "payload"),
     (lambda: Message("hello", "w1"), "kind"),
     (lambda: Optimum(1, {1: True, 2: False}), "cost"),
     (lambda: HardUnsat(), "cost"),
-    (lambda: Core((3,), False), "softs"),
     (lambda: GuidingPath((1, -2), 0), "decisions"),
     (lambda: Verdict("unknown"), "status"),
     (lambda: Task(2, 3), "cap"),

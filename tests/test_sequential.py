@@ -1,9 +1,8 @@
 import random
 
-from distmaxsat.engine import Sat
 from distmaxsat.formula import cost, make_formula, relax
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
-from distmaxsat.sequential import Core, CoreGuided, HardUnsat, Optimum, linear_su, msu3, oll
+from distmaxsat.sequential import HardUnsat, Optimum, linear_su, msu3, oll
 
 from test_orchestration import check_cell, random_cube, small_draws, with_cube
 
@@ -53,19 +52,6 @@ def test_linear_su_proof_independence_flag():
     outcome, reports = cell(g, [1], stop=1)
     assert outcome is None
     assert reports == []
-
-
-def test_one_input_totalizer_output_is_the_bound_not_a_new_soft():
-    # Soft (x1) against hard (-x1).  The first call relaxes (x1); at b = 0 the
-    # totalizer over R = {r} has r itself as its output, so the next core,
-    # {-r}, is the bound literal, not a soft clause to add to R again.
-    f = make_formula(1, [[-1]], [[1]])
-    state = CoreGuided(f)
-    [r] = state.relax_vars
-    assert state.call(0) == Core((r,), bound=False)
-    assert state.call(0) == Core((), bound=True)
-    assert state.relaxed == {r}
-    assert isinstance(state.call(1), Sat)
 
 
 def test_linear_su_reports_improvements_strictly_decreasing():
