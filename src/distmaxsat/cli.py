@@ -10,10 +10,10 @@ hand, 0 timed out or unknown, 1 usage, input or connection errors.
 
 A socket master answers before any worker is there: its first "o" line is
 the model of the hard clauses, or it prints "s UNSATISFIABLE" when there is
-none.  It begins with the workers that have connected and said hello, and
-later ones join as helpers.  After printing its result it keeps listening
-until all `--workers` have connected, or `--timeout` passes, and answers
-each with terminate.
+none.  The run begins at the first worker to say hello, and later ones join
+as helpers; a connection that never says hello holds nothing up.  After
+printing its result it keeps listening until all `--workers` have connected
+and said hello, or `--timeout` passes, and answers each with terminate.
 
 Each mode imports only the modules it runs: every process pays to load them.
 """
@@ -160,7 +160,7 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
             lost.append(wid)
 
     master_cls = SssMaster if args.algo == "sss" else GpMaster
-    master = master_cls(f, [], send=send, seed=args.seed, size=args.workers)
+    master = master_cls(f, send=send, size=args.workers, seed=args.seed)
     master.on_improve = reporter.improve
     sel = selectors.DefaultSelector()
     sel.register(server, selectors.EVENT_READ)
@@ -191,7 +191,7 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
                     return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
             # After the result, wait until every worker has connected and
             # said hello, so that each one ends on its terminate.
-            if code is not None and (timed_out or (joined == args.workers and master.registered >= set(by_id))):
+            if code is not None and (timed_out or (joined == args.workers and set(master.workers) >= set(by_id))):
                 break
             wait = None if deadline is None else max(deadline - time.monotonic(), 0.0)
             for key, _ in sel.select(timeout=wait):
@@ -200,7 +200,6 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
                     wid = f"w{joined}"
                     by_id[wid] = chan = accept(server)
                     sel.register(chan.sock, selectors.EVENT_READ, wid)
-                    master.join(wid)
                     if joined == args.workers:
                         sel.unregister(server)
                         server.close()

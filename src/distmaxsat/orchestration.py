@@ -24,14 +24,13 @@ place.  So every proof a worker sends is capped and stale-checked.
 Both masters start the same way.  `start` makes one SAT call on the hard
 clauses (`initial_upper_bound`): the first model, and so the first μ, or the
 proof that there is none, before any task is sent and before any worker need
-be there.  The roster is the workers the master knows, in the order they
-joined; a run is sized for `size` workers, the whole roster when it is given
-up front.  The run begins once every worker on the roster has said hello:
-the first, the lead, gets the whole-formula task -1 (`assign_path` with an
-empty path and the μ held), and the others are the strategy's `helpers`.
-A worker that says hello after that joins the helpers and gets the task it
-would have got at the start: sss an unheld bound of the initial
-split, gp a path of the root frontier, which is sized for `size` workers.
+be there.  The master knows one list of workers, `workers`, in the order
+they said hello; a run is sized for `size` of them.  The run begins at the
+first hello: that worker, the lead, gets the whole-formula task -1
+(`assign_path` with an empty path and the μ held).  Every later one is a
+helper and gets its first task at its own hello: sss an unheld bound of the
+initial split, gp a path of the root frontier, which is sized for `size`
+workers.  A worker that connects and never says hello holds nothing up.
 A finished master answers a hello with `terminate`.  The master raises λ
 itself on its own proofs: to `num_soft + 1` when the hard clauses are
 unsatisfiable, and to μ once every guiding path has concluded, because the
@@ -91,25 +90,29 @@ class Task(namedtuple("Task", "id cap path", defaults=((),))):
 
 
 class MasterBase:
-    def __init__(self, f: WcnfFormula, worker_ids, send, seed: int = 0, size: int | None = None):
+    """The master's state is the workers in hello order, the `lead` among
+    them, the task ledger and the cost window; the rest is read off those."""
+
+    def __init__(self, f: WcnfFormula, send, size: int, seed: int = 0):
         self.f = f
-        self.worker_ids = list(worker_ids)  # roster order: the first leads, the rest help
-        self.size = len(self.worker_ids) if size is None else size  # the workers the run is sized for
         self.send = send  # callable(worker_id, Message)
+        self.size = size  # the workers the run is sized for
         self.seed = seed
-        self.registered: set[str] = set()
-        self.helpers: list[str] = []
+        self.workers: list[str] = []  # every worker that said hello and is not lost, in hello order
+        self.lead: str | None = None  # the first to say hello, once the run has begun
         self.tasks: dict[str, Task] = {}  # worker -> its live task, in assignment order
         self._started = False
-        self._begun = False
         self.finished = False
         self.verdict: Verdict | None = None
         self.window = BoundSet(lam=0, mu=f.num_soft + 1)
         self.best_model: dict[int, bool] | None = None
-        self.improvements: list[int] = []
         self.on_improve = None  # optional callable(cost, model)
         self.audit: list[tuple[str, int, int]] = []  # (event, λ, μ) after each move
         self._terminate_msg: Message | None = None  # the verdict, once finished
+
+    @property
+    def helpers(self) -> list[str]:
+        return [wid for wid in self.workers if wid != self.lead]
 
     @property
     def best_cost(self) -> int | None:
@@ -119,7 +122,6 @@ class MasterBase:
         if not self.window.apply_sat(found):
             return
         self.best_model = model
-        self.improvements.append(found)
         if self.on_improve is not None:
             self.on_improve(found, model)
         self._moved("sat")
@@ -143,7 +145,7 @@ class MasterBase:
         else:
             payload = {"verdict": status, "cost": self.window.mu, "model": model_literals(self.f, self.best_model)}
         self._terminate_msg = Message("terminate", "master", payload)
-        for wid in self.worker_ids:
+        for wid in self.workers:
             self.send(wid, self._terminate_msg)
 
     def _checked_model(self, payload) -> tuple[int, dict[int, bool]] | None:
@@ -158,10 +160,6 @@ class MasterBase:
             return None
         return found, model
 
-    def join(self, wid: str) -> None:
-        """`wid` connected: it goes on the roster and counts once it says hello."""
-        self.worker_ids.append(wid)
-
     def start(self) -> None:
         """One SAT call on the hard clauses: the first model and μ, or the
         proof that there is none.  Made once, before any task is sent."""
@@ -175,21 +173,15 @@ class MasterBase:
             self._improve(*found)
 
     def on_message(self, src: str, msg: Message) -> None:
+        if msg.kind == "hello":
+            if src not in self.workers:
+                self.workers.append(src)
+                self._welcome(src)
+            return
         if self.finished:
-            if msg.kind == "hello":
-                self.registered.add(src)
-                self.send(src, self._terminate_msg)
             return
         p = msg.payload
-        if msg.kind == "hello":
-            if src not in self.registered:
-                self.registered.add(src)
-                if not self._begun:
-                    self._begin_when_ready()
-                else:  # a late worker joins the helpers
-                    self._enlist(src)
-                    self._schedule()
-        elif msg.kind == "report_sat":
+        if msg.kind == "report_sat":
             checked = self._checked_model(p)
             if checked is not None:
                 self._improve(*checked)
@@ -197,26 +189,22 @@ class MasterBase:
             self._raise_lower(self._conclude(src, p["task"], p["lb"]))
             self._schedule()
 
-    def _begin_when_ready(self) -> None:
-        """Begin once every worker on the roster has said hello: the first
-        runs `oll` on the whole formula, the others help."""
-        if self._begun or not self.worker_ids or not self.registered >= set(self.worker_ids):
-            return
-        self._begun = True
-        self.start()
+    def _welcome(self, wid: str) -> None:
+        """`wid` said hello: the first runs `oll` on the whole formula, each
+        later one helps.  A finished master answers with its verdict."""
         if self.finished:
+            self.send(wid, self._terminate_msg)
             return
-        lead, *helpers = self.worker_ids
-        self._assign(lead, Task(WHOLE_FORMULA_TASK, self.window.mu))
-        self._begin()
-        for wid in helpers:
-            self._enlist(wid)
+        if self.lead is None:
+            self.start()
+            if self.finished:  # `_finish` has sent `wid` the verdict
+                return
+            self.lead = wid
+            self._assign(wid, Task(WHOLE_FORMULA_TASK, self.window.mu))
+            self._begin()
+        else:
+            self._first_task(wid)
         self._schedule()
-
-    def _enlist(self, wid: str) -> None:
-        """`wid` becomes a helper and gets its first task."""
-        self.helpers.append(wid)
-        self._first_task(wid)
 
     def _assign(self, wid: str, task: Task) -> None:
         """Hand `wid` its next task; it must hold none."""
@@ -238,28 +226,22 @@ class MasterBase:
         return min(lb, task.cap)
 
     def on_worker_lost(self, wid: str) -> None:
-        """Drop a worker whose link broke.  Before the run begins the roster
-        only shrinks; afterwards its live task goes back to the pool."""
-        if self.finished or wid not in self.worker_ids:
+        """Drop a worker whose link broke; its live task goes back to the
+        pool.  One that never said hello changes nothing."""
+        if self.finished or wid not in self.workers:
             return
-        self.worker_ids.remove(wid)
-        self.registered.discard(wid)
-        if not self._begun:
-            self._begin_when_ready()
-            return
-        if wid in self.helpers:
-            self.helpers.remove(wid)
+        self.workers.remove(wid)
         self._requeue(wid, self.tasks.pop(wid, None))
         self._schedule()
 
     def _begin(self) -> None:
         """Start the strategy's own search, once a model is held and μ is its
-        cost; the lead has its task, the helpers are enlisted next."""
+        cost; the lead has its task, and every helper comes after."""
         raise NotImplementedError
 
     def _first_task(self, wid: str) -> None:
-        """Hand the new helper `wid` the task it would have got at the start."""
-        raise NotImplementedError
+        """Hand the new helper `wid` the task it would have got at the start;
+        without one, `_schedule` finds it a task."""
 
     def _schedule(self) -> None:
         raise NotImplementedError
@@ -311,15 +293,15 @@ class SssMaster(MasterBase):
 
 class GpMaster(MasterBase):
     """Guiding paths: the lead runs `oll`, the helpers take lookahead cubes
-    from a queue.  Only this master imports `lookahead`."""
+    from a queue.  An idle helper is one that holds no task, taken in hello
+    order.  Only this master imports `lookahead`."""
 
-    def __init__(self, f, worker_ids, send, seed: int = 0, size: int | None = None):
-        super().__init__(f, worker_ids, send, seed, size)
+    def __init__(self, f, send, size: int, seed: int = 0):
+        super().__init__(f, send, size, seed)
         self.generator = None  # a lookahead.PathGenerator, built in _begin
         self.pending = []  # guiding paths waiting for a worker
         self.resplit_done: set[int] = set()
         self.terminated_early = False
-        self.idle: list[str] = []  # helpers without a task, first in, first out
         self.generated_paths = []
 
     def _begin(self) -> None:
@@ -331,9 +313,6 @@ class GpMaster(MasterBase):
         self.pending = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget()).paths
         self.generated_paths.extend(self.pending)
         self._sort_pending()
-
-    def _first_task(self, wid: str) -> None:
-        self.idle.append(wid)
 
     def _path_budget(self) -> int:
         """Sized for the run's helpers, so late ones never shrink the partition."""
@@ -348,10 +327,11 @@ class GpMaster(MasterBase):
     def _schedule(self) -> None:
         if self.finished:
             return
-        while self.idle and self.pending:
+        idle = [wid for wid in self.helpers if wid not in self.tasks]
+        while idle and self.pending:
             path = self.pending.pop(0)
-            self._assign(self.idle.pop(0), Task(path.gen_index, self.window.mu, path))
-        if self.idle and not self.pending and self.tasks:
+            self._assign(idle.pop(0), Task(path.gen_index, self.window.mu, path))
+        if idle and not self.pending and self.tasks:
             self._resplit()
         if not self._paths_open():
             # The paths partition the search space and none holds a model
@@ -377,14 +357,10 @@ class GpMaster(MasterBase):
             self._schedule()
 
     def _concluded(self, wid: str, task: Task) -> None:
-        if wid in self.helpers:
-            self.idle.append(wid)
         # Sub-paths of a concluded parent are redundant.
         self.pending = [p for p in self.pending if p.parent_index != task.id]
 
     def _requeue(self, wid: str, task: Task | None) -> None:
-        if wid in self.idle:
-            self.idle.remove(wid)
         if task is not None and task.id != WHOLE_FORMULA_TASK:
             self.pending.append(task.path)
             self._sort_pending()
@@ -470,19 +446,19 @@ def run_sim(
 
     if num_workers < 1:
         raise ValueError("need at least one worker")
-    worker_ids = [f"w{i}" for i in range(1, num_workers + 1)]
-    bus = SimBus(seed, ["master"] + worker_ids)
+    ids = [f"w{i}" for i in range(1, num_workers + 1)]
+    bus = SimBus(seed, ["master"] + ids)
     master_cls = {"sss": SssMaster, "gp": GpMaster}[algo]
-    master = master_cls(f, worker_ids, send=lambda dst, m: bus.send("master", dst, m), seed=seed)
+    master = master_cls(f, send=lambda dst, m: bus.send("master", dst, m), size=num_workers, seed=seed)
     master.on_improve = on_improve
     workers = {
         wid: WorkerNode(
             wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=seed * 7919 + i,
             deadline=deadline, clock=clock,
         )
-        for i, wid in enumerate(worker_ids, start=1)
+        for i, wid in enumerate(ids, start=1)
     }
-    for wid in worker_ids:
+    for wid in ids:
         workers[wid].hello()
     deliveries = 0
     stopped = False
@@ -512,7 +488,7 @@ def run_sim(
     verdict = master.verdict or Verdict(status="unknown", cost=master.best_cost, model=master.best_model)
     return SimOutcome(
         verdict=verdict,
-        improvements=list(master.improvements),
+        improvements=[mu for event, _lam, mu in master.audit if event == "sat"],
         audit=list(master.audit),
         trace=list(bus.trace),
         master=master,

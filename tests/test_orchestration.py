@@ -328,7 +328,7 @@ def test_sss_immediate_optimum_when_initial_model_is_free():
 def test_gp_queue_priority_shortest_then_oldest():
     sent = []
     f = make_formula(4, [[1, 2], [3, 4]], [[1], [2], [3], [4]])
-    master = GpMaster(f, ["w1", "w2"], send=lambda dst, m: sent.append((dst, m)), seed=0)
+    master = GpMaster(f, send=lambda dst, m: sent.append((dst, m)), size=2, seed=0)
     for wid in ("w1", "w2"):
         master.on_message(wid, Message("hello", wid))
     from distmaxsat.lookahead import GuidingPath
@@ -353,7 +353,7 @@ def test_sss_master_survives_worker_loss():
 
     ids = ["w1", "w2", "w3"]
     bus = SimBus(0, ["master"] + ids)
-    master = SssMaster(f, ids, send=lambda dst, m: bus.send("master", dst, m), seed=0)
+    master = SssMaster(f, send=lambda dst, m: bus.send("master", dst, m), size=len(ids), seed=0)
     workers = {
         wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=i)
         for i, wid in enumerate(ids, 1)
@@ -377,7 +377,7 @@ def test_sss_master_survives_worker_loss():
 def test_gp_master_requeues_tasks_of_lost_worker():
     f = make_formula(3, [[1, 2]], [[1], [2], [3]])
     sent = []
-    master = GpMaster(f, ["w1", "w2", "w3"], send=lambda dst, m: sent.append((dst, m)), seed=0)
+    master = GpMaster(f, send=lambda dst, m: sent.append((dst, m)), size=3, seed=0)
     for wid in ("w1", "w2", "w3"):
         master.on_message(wid, Message("hello", wid))
     lost = master.tasks["w2"]
@@ -386,6 +386,10 @@ def test_gp_master_requeues_tasks_of_lost_worker():
     # Its path goes back to the queue, first among paths of its depth.
     assert lost.path in master.pending
     assert master.pending == sorted(master.pending, key=lambda p: (p.depth, p.gen_index))
+
+
+def hello_from(wid):
+    return Message("hello", wid)
 
 
 def run_master_to_end(master, workers, bus):
@@ -399,38 +403,29 @@ def run_master_to_end(master, workers, bus):
 
 
 @pytest.mark.parametrize("master_cls", [SssMaster, GpMaster])
-def test_worker_lost_before_its_hello_leaves_the_rest_to_run(master_cls):
-    """The roster shrinks; the run begins once every remaining worker said
-    hello, and it neither ends early nor waits for the lost worker."""
+def test_the_first_hello_leads_and_a_worker_without_one_holds_nothing_up(master_cls):
+    """The run begins at the first hello, whoever sent it: w2 leads at once.
+    Losing w3, which never said hello, changes nothing, and w1's later
+    hello makes it a helper with a task of its own."""
     f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
-    expected = brute_force(f)
     bus = SimBus(0, ["master", "w1", "w2"])
-    master = master_cls(f, ["w1", "w2"], send=lambda dst, m: bus.send("master", dst, m), seed=0)
-    workers = {"w1": WorkerNode("w1", f, send=lambda m: bus.send("w1", "master", m), seed=1)}
-    # Lost before anyone said hello: nothing is decided yet.
-    master.on_worker_lost("w2")
-    assert master.verdict is None and not master._begun
-    workers["w1"].hello()
+    master = master_cls(f, send=lambda dst, m: bus.send("master", dst, m), size=2, seed=0)
+    workers = {wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=i)
+               for i, wid in enumerate(["w1", "w2"], 1)}
+    master.on_message("w2", hello_from("w2"))
+    [lead_task] = (decode_message(data) for data in bus.queues[("master", "w2")])
+    assert lead_task == Message("assign_path", "master", {"task": -1, "path": [], "mu": master.window.mu})
+    assert master.workers == ["w2"] and master.lead == "w2" and master.helpers == []
+    before = (list(master.workers), dict(master.tasks), master.window.lam, master.window.mu)
+    master.on_worker_lost("w3")
+    assert (master.workers, master.tasks, master.window.lam, master.window.mu) == before
+    master.on_message("w1", hello_from("w1"))
+    assert master.helpers == ["w1"]
+    [task] = (decode_message(data) for data in bus.queues[("master", "w1")])
+    assert task.kind == "assign_path" and task.payload["task"] != -1 and master.tasks["w1"].id == task.payload["task"]
     run_master_to_end(master, workers, bus)
     assert master.verdict.status == "optimum"
-    assert master.verdict.cost == expected
-
-
-@pytest.mark.parametrize("master_cls", [SssMaster, GpMaster])
-def test_worker_lost_after_the_others_said_hello_begins_the_run(master_cls):
-    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
-    expected = brute_force(f)
-    bus = SimBus(0, ["master", "w1", "w2"])
-    master = master_cls(f, ["w1", "w2"], send=lambda dst, m: bus.send("master", dst, m), seed=0)
-    workers = {"w2": WorkerNode("w2", f, send=lambda m: bus.send("w2", "master", m), seed=2)}
-    master.on_message("w2", Message("hello", "w2"))
-    assert not master._begun
-    master.on_worker_lost("w1")
-    assert master._begun
-    assert master.worker_ids == ["w2"]
-    run_master_to_end(master, workers, bus)
-    assert master.verdict.status == "optimum"
-    assert master.verdict.cost == expected
+    assert master.verdict.cost == brute_force(f)
 
 
 def test_worker_ends_cleanly_on_terminate():
@@ -489,7 +484,7 @@ def begun_master(master_cls, f, ids):
     """A master started, as a socket master is, before any hello, that has
     then seen every hello; returns it and what it sent."""
     sent = []
-    master = master_cls(f, ids, send=lambda dst, m: sent.append((dst, m)), seed=0)
+    master = master_cls(f, send=lambda dst, m: sent.append((dst, m)), size=len(ids), seed=0)
     master.start()
     for wid in ids:
         master.on_message(wid, Message("hello", wid))
@@ -642,34 +637,34 @@ def test_hard_unsat_run_ends_before_any_task(monkeypatch, algo):
 # Digests of the sim traces of fixed sss runs: any change to sss's search,
 # its messages or their order shows here.
 SSS_TRACE_DIGESTS = [
-    ((1000, 10, 22, 20), 2, 0, "172be700c31bcd88"),
-    ((1000, 10, 22, 20), 3, 0, "84c309b5aca22b94"),
-    ((1001, 12, 26, 24), 2, 1, "c223a7204be250f9"),
-    ((1001, 12, 26, 24), 3, 1, "6f29cef0d3a3c183"),
-    ((1002, 14, 31, 28), 2, 2, "053d7238f84a9309"),
-    ((1002, 14, 31, 28), 3, 2, "99b42f95225e674b"),
-    ((1003, 16, 35, 32), 2, 3, "d3590f05c0e9811a"),
-    ((1003, 16, 35, 32), 3, 3, "a39b74a7d8162011"),
-    ((6, 30, 66, 60), 3, 6, "8c8d026f0eec2073"),
-    ("pigeonhole(2)", 2, 7, "a991c7f9eae0cdaf"),
-    ("pigeonhole(2)", 3, 7, "7b5b05350b3753b6"),
+    ((1000, 10, 22, 20), 2, 0, "6a1fb76f981988c7"),
+    ((1000, 10, 22, 20), 3, 0, "9a998e27c40f35ee"),
+    ((1001, 12, 26, 24), 2, 1, "ce4e2bc322806a94"),
+    ((1001, 12, 26, 24), 3, 1, "445123f39cd72a30"),
+    ((1002, 14, 31, 28), 2, 2, "510abc294b98be5e"),
+    ((1002, 14, 31, 28), 3, 2, "2ed44e47fdd9cec1"),
+    ((1003, 16, 35, 32), 2, 3, "70cfe976b558390a"),
+    ((1003, 16, 35, 32), 3, 3, "8491e082444fce18"),
+    ((6, 30, 66, 60), 3, 6, "cd22ab317f2ca250"),
+    ("pigeonhole(2)", 2, 7, "8ba0293ffa3f0008"),
+    ("pigeonhole(2)", 3, 7, "ef168e34b8132261"),
 ]
 
 
 # The same draws for gp: any change to its paths, its dispatch order or its
 # messages shows here.
 GP_TRACE_DIGESTS = [
-    ((1000, 10, 22, 20), 2, 0, "172be700c31bcd88"),
-    ((1000, 10, 22, 20), 3, 0, "62c826214bb9a399"),
-    ((1001, 12, 26, 24), 2, 1, "6475986f2e7ec97c"),
-    ((1001, 12, 26, 24), 3, 1, "72b0c76771122767"),
-    ((1002, 14, 31, 28), 2, 2, "cf76abe99bcd8d27"),
-    ((1002, 14, 31, 28), 3, 2, "03fa650213c6ec02"),
-    ((1003, 16, 35, 32), 2, 3, "b0e9b31a4a173c6f"),
-    ((1003, 16, 35, 32), 3, 3, "612aa35661cfb0e5"),
-    ((6, 30, 66, 60), 3, 6, "56058f9d3cca4ec6"),
-    ("pigeonhole(2)", 2, 7, "ce08e08b627eed18"),
-    ("pigeonhole(2)", 3, 7, "e4ce563832dab28f"),
+    ((1000, 10, 22, 20), 2, 0, "98bc1b4302488b9e"),
+    ((1000, 10, 22, 20), 3, 0, "a257453b3dd1d775"),
+    ((1001, 12, 26, 24), 2, 1, "7d7efae8b37399dc"),
+    ((1001, 12, 26, 24), 3, 1, "445123f39cd72a30"),
+    ((1002, 14, 31, 28), 2, 2, "fb5f18299ab77236"),
+    ((1002, 14, 31, 28), 3, 2, "d3cee246432d1399"),
+    ((1003, 16, 35, 32), 2, 3, "3e3fc1c19abbbaab"),
+    ((1003, 16, 35, 32), 3, 3, "eb05102d83217604"),
+    ((6, 30, 66, 60), 3, 6, "d073ed5776a743e9"),
+    ("pigeonhole(2)", 2, 7, "f50921408b588eca"),
+    ("pigeonhole(2)", 3, 7, "180c0143919fdd2a"),
 ]
 
 
@@ -742,14 +737,10 @@ def test_sim_sss_proves_a_scale_draw_in_fewer_conflicts_than_msu3(monkeypatch):
     assert sum(e.conflicts for e in engines) < SCALE_DRAW_MSU3_CONFLICTS
 
 
-def hello_from(wid):
-    return Message("hello", wid)
-
-
 @pytest.mark.parametrize("algo", ["sss", "gp"])
 def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
-    """A master sized for N workers begins with w1 alone.  w2, joining just
-    after, gets what a full roster would have given it at the start: the
+    """A master sized for N workers begins at w1's hello.  w2, saying hello
+    just after, gets the first helper task of a run sized for N: the
     lowest bound of the initial split (sss) or the first root path (gp), from
     the same root frontier as a sim run with N workers.  The others join at
     random points; the run still proves the optimum."""
@@ -759,7 +750,7 @@ def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
         size = rng.randint(2, 4)
         ids = [f"w{i}" for i in range(1, size + 1)]
         bus = SimBus(case, ["master"] + ids)
-        master = master_cls(f, [], send=lambda dst, m: bus.send("master", dst, m), seed=case, size=size)
+        master = master_cls(f, send=lambda dst, m: bus.send("master", dst, m), size=size, seed=case)
         workers = {
             wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=i)
             for i, wid in enumerate(ids, 1)
@@ -767,12 +758,10 @@ def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
         master.start()
         if master.finished:  # the hard-clause model is optimal
             continue
-        master.join("w1")
         master.on_message("w1", hello_from("w1"))
         mu = master.window.mu
         [lead_task] = (decode_message(data) for data in bus.queues[("master", "w1")])
         assert lead_task == Message("assign_path", "master", {"task": -1, "path": [], "mu": mu})
-        master.join("w2")
         master.on_message("w2", hello_from("w2"))
         [task] = (decode_message(data) for data in bus.queues[("master", "w2")])
         if algo == "sss":
@@ -795,7 +784,6 @@ def test_late_helpers_get_their_first_task_and_the_run_finds_the_optimum(algo):
                     master.on_message(src, msg)
                 else:
                     workers[dst].on_message(msg)
-            master.join(wid)
             workers[wid].hello()
         run_master_to_end(master, workers, bus)
         assert master.verdict.status == "optimum" and master.verdict.cost == brute_force(f), (case, algo)
@@ -813,11 +801,10 @@ def test_a_finished_master_answers_a_hello_with_terminate(master_cls):
     for f, verdict in ((unsat, {"verdict": "unsatisfiable", "cost": -1, "model": []}),
                        (free, {"verdict": "optimum", "cost": 0, "model": [1, 2]})):
         sent = []
-        master = master_cls(f, [], send=lambda dst, m: sent.append((dst, m)), seed=0, size=2)
+        master = master_cls(f, send=lambda dst, m: sent.append((dst, m)), size=2, seed=0)
         master.start()
         assert master.finished and sent == []
         for wid in ("w1", "w2"):
-            master.join(wid)
             master.on_message(wid, hello_from(wid))
         terminate = Message("terminate", "master", verdict)
         assert sent == [("w1", terminate), ("w2", terminate)]
