@@ -11,9 +11,10 @@ hand, 0 timed out or unknown, 1 usage, input or connection errors.
 A socket master answers before any worker is there: its first "o" line is
 the model of the hard clauses, or it prints "s UNSATISFIABLE" when there is
 none.  The run begins at the first worker to say hello, and later ones join
-as helpers; a connection that never says hello holds nothing up.  After
-printing its result it keeps listening until all `--workers` have connected
-and said hello, or `--timeout` passes, and answers each with terminate.
+as helpers; a connection that never says hello holds nothing up.  On
+printing its result it closes every connection that has not said hello.  It
+then exits once all `--workers` have connected and each later connection has
+said hello and been answered with terminate, or when `--timeout` passes.
 
 Each mode imports only the modules it runs: every process pays to load them.
 """
@@ -186,11 +187,16 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
                 if master.finished:
                     code = reporter.finish(master.verdict.status)
                     reporter.out.flush()
+                    # The run is over: a connection that has not said hello
+                    # is closed, and a hello still in flight meets EOF.
+                    lost += [wid for wid in by_id if wid not in master.workers]
+                    continue
                 elif timed_out or (joined == args.workers and not by_id):
                     print("c timeout" if timed_out else "c no worker left", file=reporter.out)
                     return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
-            # After the result, wait until every worker has connected and
-            # said hello, so that each one ends on its terminate.
+            # After the result, wait until every worker has connected, and
+            # each one that connects later has said hello and been answered
+            # with terminate.
             if code is not None and (timed_out or (joined == args.workers and set(master.workers) >= set(by_id))):
                 break
             wait = None if deadline is None else max(deadline - time.monotonic(), 0.0)

@@ -11,6 +11,13 @@ conflict it meets above level 0, and its `watches` lists, so the guiding-path
 generator reuses the propagation and analysis machinery instead of
 reimplementing it.
 
+A clause is a plain list of literals whose positions 0 and 1 are watched,
+and `watches` is a list indexed by literal in the [0, x1..xn, -xn..-x1]
+layout of `assigns`, so `watches[-v]` holds the clauses watching ¬v.  Lists
+compare by value and two clauses may hold the same literals, so a clause is
+found in a watch list by identity (`is`), never by `==`, `in` or `remove`:
+`_maybe_reduce_db` deletes the first entry that is the dropped clause.
+
 Watch lists are lazy (Chaff, MiniSat).  After every conflict-free
 propagation a false watched literal means the other watched literal is true
 and was assigned at the same or a lower level; so an unsatisfied clause
@@ -51,18 +58,6 @@ LUBY_UNIT = 100
 LEARNED_CAP_FACTOR = 10
 
 
-class Clause:
-    """One clause in the engine; positions 0 and 1 are the watched literals."""
-
-    __slots__ = ("lits",)
-
-    def __init__(self, lits):
-        self.lits = list(lits)
-
-    def __repr__(self):
-        return f"Clause({self.lits})"
-
-
 Sat = namedtuple("Sat", "model")  # variable -> bool
 Unsat = namedtuple("Unsat", "core")  # the frozenset of assumptions that cannot all hold
 
@@ -90,16 +85,17 @@ class Engine:
         # [0, x1..xn, -xn..-x1] puts literal -v at Python's assigns[-v].
         self.assigns: list[int] = [0]
         self.levels: list[int] = [0]
-        self.reasons: list[Clause | None] = [None]
+        self.reasons: list[list[int] | None] = [None]
         self.phase: list[bool] = [False]
         self.activity: list[float] = [0.0]
         self.tie_rank: list[float] = [0.0]
-        self.watches: dict[int, list[Clause]] = {}
+        self.watches: list[list[list[int]]] = [[]]  # indexed like assigns
+        self.seen: list[bool] = [False]  # _analyze's marks, all clear between calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.clauses: list[Clause] = []
-        self.learned_clauses: list[Clause] = []
+        self.clauses: list[list[int]] = []
+        self.learned_clauses: list[list[int]] = []
         self.root_unsat = False
         self.var_inc = 1.0
         self.conflicts = 0
@@ -122,13 +118,8 @@ class Engine:
         self.phase += [False] * n
         self.activity += [0.0] * n
         self.tie_rank += [self._rng.random() for _ in range(n)]
-        for v in range(first, self.num_vars + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
-
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
+        self.seen += [False] * n
+        self.watches[first:first] = [[] for _ in range(2 * n)]
 
     # --------------------------------------------------------------- clauses
 
@@ -156,7 +147,7 @@ class Engine:
         if self.root_unsat:
             return
         if len(unfalsified) >= 2:
-            clause = Clause(unfalsified + falsified)
+            clause = unfalsified + falsified
             self.clauses.append(clause)
             self.watches[unfalsified[0]].append(clause)
             self.watches[unfalsified[1]].append(clause)
@@ -164,30 +155,22 @@ class Engine:
             # Permanently satisfied or unit at level 0; no watches needed since
             # level-0 falsifications are never undone.
             lit = unfalsified[0]
-            self.clauses.append(Clause([lit] + falsified))
+            self.clauses.append([lit] + falsified)
             if assigns[lit] == 0:
                 self._enqueue(lit, None)
                 if self._propagate() is not None:
                     self._mark_root_unsat()
         else:
-            self.clauses.append(Clause(falsified))
+            self.clauses.append(falsified)
             self._mark_root_unsat()
 
     def _mark_root_unsat(self) -> None:
         self.root_unsat = True
         self._cancel_until(0)
 
-    def _attach(self, clause: Clause) -> None:
-        self.watches[clause.lits[0]].append(clause)
-        self.watches[clause.lits[1]].append(clause)
-
-    def _detach(self, clause: Clause) -> None:
-        self.watches[clause.lits[0]].remove(clause)
-        self.watches[clause.lits[1]].remove(clause)
-
     # ----------------------------------------------------------- propagation
 
-    def _enqueue(self, lit: int, reason: Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = abs(lit)
         self.assigns[lit] = 1
         self.assigns[-lit] = -1
@@ -195,7 +178,7 @@ class Engine:
         self.reasons[v] = reason
         self.trail.append(lit)
 
-    def _propagate(self) -> Clause | None:
+    def _propagate(self) -> list[int] | None:
         """Propagate pending trail literals; return a conflicting clause or None."""
         trail = self.trail
         assigns = self.assigns
@@ -212,18 +195,17 @@ class Engine:
             end = len(watchers)
             while i < end:
                 clause = watchers[i]
-                lits = clause.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                other = lits[0]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                other = clause[0]
                 val = assigns[other]
                 if val > 0:
                     i += 1
                     continue
-                for k in range(2, len(lits)):
-                    q = lits[k]
+                for k in range(2, len(clause)):
+                    q = clause[k]
                     if assigns[q] >= 0:
-                        lits[1], lits[k] = q, lits[1]
+                        clause[1], clause[k] = q, clause[1]
                         watches[q].append(clause)
                         end -= 1
                         watchers[i] = watchers[end]
@@ -233,7 +215,7 @@ class Engine:
                     if val == 0:
                         assigns[other] = 1
                         assigns[-other] = -1
-                        v = abs(other)
+                        v = other if other > 0 else -other
                         levels[v] = level
                         reasons[v] = clause
                         trail.append(other)
@@ -255,7 +237,7 @@ class Engine:
         reasons = self.reasons
         for lit in trail[boundary:]:
             assigns[lit] = assigns[-lit] = 0
-            v = abs(lit)
+            v = lit if lit > 0 else -lit
             phase[v] = lit > 0
             reasons[v] = None
         del trail[boundary:]
@@ -267,26 +249,26 @@ class Engine:
 
     # -------------------------------------------------------------- analysis
 
-    def _analyze(self, confl: Clause) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learning; returns (learned clause, backtrack level)."""
         levels = self.levels
         activity = self.activity
         trail = self.trail
+        seen = self.seen
         var_inc = self.var_inc
         level = len(self.trail_lim)
         learnt: list[int] = [0]  # slot 0 for the asserting literal
-        seen: set[int] = set()
         path_count = 0
         p = 0  # no literal is 0, so nothing is skipped in the conflict clause
         index = len(trail) - 1
         clause = confl
         while True:
-            for q in clause.lits:
+            for q in clause:
                 if q == p:
                     continue
-                v = abs(q)
-                if v not in seen and levels[v] > 0:
-                    seen.add(v)
+                v = q if q > 0 else -q
+                if not seen[v] and levels[v] > 0:
+                    seen[v] = True
                     act = activity[v] + var_inc
                     activity[v] = act
                     if act > 1e100:
@@ -298,17 +280,19 @@ class Engine:
                     else:
                         learnt.append(q)
             p = trail[index]
-            while abs(p) not in seen:
+            while not seen[p if p > 0 else -p]:
                 index -= 1
                 p = trail[index]
-            v = abs(p)
+            v = p if p > 0 else -p
             clause = self.reasons[v]
-            seen.discard(v)
+            seen[v] = False
             index -= 1
             path_count -= 1
             if path_count == 0:
                 break
         learnt[0] = -p
+        for q in learnt:  # the only marks left are the lower-level literals'
+            seen[q if q > 0 else -q] = False
         self.var_inc = var_inc / VAR_ACT_DECAY
         if len(learnt) == 1:
             return learnt, 0
@@ -328,10 +312,10 @@ class Engine:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
         else:
-            clause = Clause(learnt)
-            self.learned_clauses.append(clause)
-            self._attach(clause)
-            self._enqueue(learnt[0], clause)
+            self.learned_clauses.append(learnt)
+            self.watches[learnt[0]].append(learnt)
+            self.watches[learnt[1]].append(learnt)
+            self._enqueue(learnt[0], learnt)
         self._maybe_reduce_db()
 
     def _maybe_reduce_db(self) -> None:
@@ -339,11 +323,13 @@ class Engine:
         if len(self.learned_clauses) <= cap:
             return
         locked = {id(self.reasons[abs(l)]) for l in self.trail if self.reasons[abs(l)]}
-        keep: list[Clause] = []
+        keep: list[list[int]] = []
         drop = len(self.learned_clauses) // 2
         for idx, clause in enumerate(self.learned_clauses):
             if idx < drop and id(clause) not in locked:
-                self._detach(clause)
+                for watchers in self.watches[clause[0]], self.watches[clause[1]]:
+                    # By identity: another clause may hold the same literals.
+                    del watchers[next(j for j, c in enumerate(watchers) if c is clause)]
             else:
                 keep.append(clause)
         self.learned_clauses = keep
@@ -372,19 +358,20 @@ class Engine:
         core = {p}
         if not self.trail_lim:
             return frozenset(core)
-        seen = {abs(p)}
+        seen = {p if p > 0 else -p}
         for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
             lit = self.trail[i]
-            v = abs(lit)
+            v = lit if lit > 0 else -lit
             if v not in seen:
                 continue
             reason = self.reasons[v]
             if reason is None:
                 core.add(lit)
             else:
-                for q in reason.lits:
-                    if abs(q) != v and self.levels[abs(q)] > 0:
-                        seen.add(abs(q))
+                for q in reason:
+                    u = q if q > 0 else -q
+                    if u != v and self.levels[u] > 0:
+                        seen.add(u)
             seen.discard(v)
         return frozenset(core)
 
@@ -490,7 +477,7 @@ class Engine:
         self._cancel_until(0)
         return implied
 
-    def analyze_and_learn(self, confl: Clause) -> None:
+    def analyze_and_learn(self, confl: list[int]) -> None:
         """Learn the first-UIP clause from `confl`, falsified by the current
         trail above level 0, and return to level 0."""
         if not self.trail_lim:

@@ -67,17 +67,18 @@ def clause_reduction_score(engine: Engine, assigned: dict[int, bool], lit: int, 
     and leaves unsatisfied.
 
     Each counts 5^(l_max - k), k being its length after the shortening,
-    lengths counting only unassigned literals.  Only the watch list of ¬lit
-    is read, in place, so a clause holding ¬lit at an unwatched position does
-    not count: a cheap stand-in for a scan of every clause.
+    lengths counting only unassigned literals.  Only the engine's watch list
+    of ¬lit, `engine.watches[-lit]`, is read, each clause there being a plain
+    list of literals read in place; so a clause holding ¬lit at an unwatched
+    position does not count: a cheap stand-in for a scan of every clause.
     """
     if abs(lit) in assigned:
         raise ValueError(f"literal {lit} already assigned")
     total = 0.0
-    for clause in engine.watches.get(-lit, ()):
+    for clause in engine.watches[-lit]:
         satisfied = False
         reduced_len = 0
-        for q in clause.lits:
+        for q in clause:
             val = assigned.get(abs(q))
             if val is None:
                 if q != -lit:
@@ -218,23 +219,6 @@ class PathGenerator:
         )
         self.next_index += 1
         result.trace.append((op, self.theta))
-
-
-def replay_theta_trace(trace) -> bool:
-    """Recompute every θ value from the recorded operations; exact match only."""
-    theta = None
-    for op, value in trace:
-        if op == "init":
-            theta = value
-        elif op == "grow":
-            theta = theta * CUTOFF_GROWTH
-        elif op == "shrink":
-            theta = theta * CUTOFF_SHRINK
-        elif op not in ("emit", "frontier", "conflict"):
-            return False
-        if theta != value:
-            return False
-    return True
 
 
 def dump_paths(paths) -> str:

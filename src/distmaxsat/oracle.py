@@ -81,12 +81,6 @@ def brute_force(f: WcnfFormula):
     return best
 
 
-def hard_models(f: WcnfFormula) -> list[int]:
-    """All assignments (as bitmasks, bit v-1 = var v) satisfying every hard clause, ascending."""
-    _full, _satisfied, hard_ok = _enumeration(f)
-    return [a for a, bit in enumerate(reversed(bin(hard_ok)[2:])) if bit == "1"]
-
-
 def _random_clause(rng: random.Random, num_vars: int, length: int) -> list[int]:
     variables = rng.sample(range(1, num_vars + 1), length)
     return [v if rng.random() < 0.5 else -v for v in variables]

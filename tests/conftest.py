@@ -6,6 +6,8 @@ import pytest
 
 from distmaxsat.engine import Engine
 from distmaxsat.formula import clause_satisfied, make_formula
+from distmaxsat.lookahead import CUTOFF_GROWTH, CUTOFF_SHRINK
+from distmaxsat.oracle import _enumeration
 
 
 def assignment_from_mask(mask: int, num_vars: int) -> dict[int, bool]:
@@ -14,6 +16,30 @@ def assignment_from_mask(mask: int, num_vars: int) -> dict[int, bool]:
 
 def clause_holds(clause, assignment: dict[int, bool]) -> bool:
     return clause_satisfied(tuple(clause), assignment)
+
+
+def hard_models(f) -> list[int]:
+    """All assignments (as bitmasks, bit v-1 = var v) satisfying every hard clause, ascending."""
+    _full, _satisfied, hard_ok = _enumeration(f)
+    return [a for a, bit in enumerate(reversed(bin(hard_ok)[2:])) if bit == "1"]
+
+
+def replay_theta_trace(trace) -> bool:
+    """Recompute every θ value of a path generator's trace from the recorded
+    operations; exact match only."""
+    theta = None
+    for op, value in trace:
+        if op == "init":
+            theta = value
+        elif op == "grow":
+            theta = theta * CUTOFF_GROWTH
+        elif op == "shrink":
+            theta = theta * CUTOFF_SHRINK
+        elif op not in ("emit", "frontier", "conflict"):
+            return False
+        if theta != value:
+            return False
+    return True
 
 
 def naive_propagate(clauses, decisions):

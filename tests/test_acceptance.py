@@ -21,12 +21,13 @@ from distmaxsat.lookahead import (
     PathGenerator,
     RESPLIT_CUTOFF,
     ROOT_CUTOFF,
-    replay_theta_trace,
 )
-from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random, hard_models
+from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
 from distmaxsat.orchestration import WorkerNode, run_sim
 from distmaxsat.sequential import HardUnsat, Optimum, linear_su, msu3
 from distmaxsat.transport import Message
+
+from conftest import hard_models, replay_theta_trace
 
 
 def report(num: int, name: str) -> None:

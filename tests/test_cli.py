@@ -553,6 +553,33 @@ def test_a_connection_that_never_says_hello_holds_nothing_up(tmp_path, algo):
             p.communicate()
 
 
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+def test_a_finished_master_exits_while_a_silent_connection_stays_open(tmp_path, algo):
+    """A socket master sized for 2 workers, whose connections are one that
+    never says hello and one real worker, exits 30 within 2 s of printing
+    its result, with the silent connection still open; the worker exits 0."""
+    from distmaxsat.transport import connect
+
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    path = tmp_path / "silent.wcnf"
+    path.write_text(serialize_wcnf(f))
+    port = free_port()
+    procs = [cli_process(path, "--algo", algo, "--mode", "master", "--listen", f"127.0.0.1:{port}",
+                         "--workers", 2, "--timeout", 20)]
+    silent = connect("127.0.0.1", port)
+    try:
+        procs.append(cli_process(path, "--mode", "worker", "--connect", f"127.0.0.1:{port}", "--timeout", 20))
+        assert lines_up_to_status(procs[0])[-1] == "s OPTIMUM FOUND"
+        assert procs[0].wait(timeout=2) == 30
+        assert procs[1].wait(timeout=30) == 0
+    finally:
+        silent.close()
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+            p.communicate()
+
+
 def test_hard_unsat_master_answers_before_any_worker_connects(instance):
     """With no worker there, the master proves the hard clauses unsatisfiable
     and prints so; a hello sent after that is answered with terminate, and

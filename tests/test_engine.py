@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
-from distmaxsat.engine import Engine, Sat, Unsat, luby
+from distmaxsat.engine import VAR_ACT_DECAY, Engine, Sat, Unsat, luby
 
-from conftest import brute_force_sat, naive_propagate, random_cnf
+from conftest import brute_force_sat, naive_propagate, pigeonhole, random_cnf
 
 
 def model_satisfies(clauses, model):
@@ -129,21 +130,21 @@ def test_assumption_verdicts_and_cores_match_brute_force():
 def test_propagate_under_chain():
     e = Engine([(-1, 2), (-2, 3)], num_vars=3)
     assert e.propagate_under([1]) == {2, 3}
-    assert e.decision_level == 0
+    assert not e.trail_lim
 
 
 def test_propagate_under_conflict():
     # Level-0 unit (-2) already implies -1, so deciding 1 is contradicted.
     e = Engine([(-1, 2), (-2,)], num_vars=2)
     assert e.propagate_under([1]) is None
-    assert e.decision_level == 0
+    assert not e.trail_lim
     assert e.conflicts == 0  # no falsified clause, nothing learned
 
 
 def test_propagate_under_clause_conflict():
     e = Engine([(-1, 2), (-2, 3), (-1, -3)], num_vars=3)
     assert e.propagate_under([1]) is None
-    assert e.decision_level == 0
+    assert not e.trail_lim
     assert e.conflicts == 1  # the falsified clause was analyzed
 
 
@@ -170,7 +171,7 @@ def test_propagate_under_matches_naive_fixpoint():
         implied = e.propagate_under(decisions)
         if implied is None:
             assert naive_conflict
-            assert e.decision_level == 0
+            assert not e.trail_lim
         else:
             assert not naive_conflict
             assert implied == expected
@@ -179,7 +180,7 @@ def test_propagate_under_matches_naive_fixpoint():
 def test_analyze_learns_negation_of_bad_decision():
     e = Engine([(-1, 2), (-1, -2)], num_vars=2)
     assert e.propagate_under([1]) is None
-    assert e.decision_level == 0
+    assert not e.trail_lim
     assert e.assigns[-1] > 0 and e.levels[1] == 0  # ¬1 learned and asserted at level 0
 
 
@@ -217,14 +218,16 @@ def test_learning_preserves_satisfiability(learned):
         assert (brute_force_sat(with_learned, num_vars) is not None) == verdict
 
 
-def watch_positions(engine, clause):
-    return [l for l in (clause.lits[0], clause.lits[1]) if clause in engine.watches[l]]
+def watched_by(engine, lit, clause) -> bool:
+    """Whether the watch list of `lit` holds `clause` itself: clauses are
+    plain lists, and `in` would also match an equal one."""
+    return any(c is clause for c in engine.watches[lit])
 
 
 def test_fresh_clause_watched_on_two_literals():
     e = Engine([(1, 2, 3)], num_vars=3)
     clause = e.clauses[0]
-    watching = [l for l in (1, 2, 3) if clause in e.watches[l]]
+    watching = [l for l in (1, 2, 3) if watched_by(e, l, clause)]
     assert len(watching) == 2
 
 
@@ -245,10 +248,10 @@ def check_lazy_watch_invariant(engine):
     if engine.root_unsat:
         return
     for clause in engine.clauses + engine.learned_clauses:
-        if len(clause.lits) < 2:
+        if len(clause) < 2:
             continue
-        a, b = clause.lits[0], clause.lits[1]
-        if clause not in engine.watches[a] or clause not in engine.watches[b]:
+        a, b = clause[0], clause[1]
+        if not watched_by(engine, a, clause) or not watched_by(engine, b, clause):
             continue  # a level-0 unit or satisfied clause: never watched
         for false_lit, other in ((a, b), (b, a)):
             if engine.assigns[false_lit] < 0:
@@ -292,15 +295,15 @@ def test_satisfied_clause_keeps_its_watch():
     """A watcher whose other watch is already true is not moved."""
     e = Engine([(1, 2, 3)], num_vars=3)
     clause = e.clauses[0]
-    assert clause.lits[:2] == [1, 2]
+    assert clause[:2] == [1, 2]
     e._new_level()
     e._enqueue(1, None)
     assert e._propagate() is None
     e._new_level()
     e._enqueue(-2, None)
     assert e._propagate() is None
-    assert clause in e.watches[2]
-    assert clause not in e.watches[3]
+    assert watched_by(e, 2, clause)
+    assert not watched_by(e, 3, clause)
 
 
 def test_deterministic_given_seed(learned):
@@ -364,5 +367,69 @@ def test_add_clause_puts_unfalsified_literals_first_and_watches_them():
     e = Engine([(-1,), (-2,)], num_vars=5)
     e.add_clause((1, 3, 2, 4))
     clause = e.clauses[-1]
-    assert clause.lits == [3, 4, 1, 2]
-    assert [l for l in (1, 2, 3, 4) if clause in e.watches[l]] == [3, 4]
+    assert clause == [3, 4, 1, 2]
+    assert [l for l in (1, 2, 3, 4) if watched_by(e, l, clause)] == [3, 4]
+
+
+def clause_lits(clause):
+    """The literals of a stored clause, watched pair first."""
+    return clause
+
+
+def engine_state(engine) -> str:
+    """The search's whole footprint: trail, levels, phases, activities, every
+    clause and every watch list in order, and the counters."""
+    n = engine.num_vars
+    return repr((
+        engine.trail, engine.trail_lim, engine.levels, engine.phase,
+        repr(engine.activity), repr(engine.var_inc),
+        [clause_lits(c) for c in engine.clauses],
+        [clause_lits(c) for c in engine.learned_clauses],
+        [[clause_lits(c) for c in engine.watches[l]] for l in range(-n, n + 1) if l],
+        engine.conflicts, engine.restarts,
+    ))
+
+
+ENGINE_STATE_DIGEST = "9436a538f6cc8d94"
+
+
+def test_engine_state_is_pinned(monkeypatch):
+    """Same search: fixed work leaves the same engine state, bit for bit.
+
+    Fifty seeded random CNFs are solved under assumptions, grown with
+    `add_vars` and `add_clause` and probed by `propagate_under`; then one
+    pigeonhole solve runs long enough to reduce the learned clauses and to
+    rescale the activities.
+    """
+    reductions = []
+    reduce_db = Engine._maybe_reduce_db
+
+    def spy(engine):
+        before = len(engine.learned_clauses)
+        reduce_db(engine)
+        reductions.append(len(engine.learned_clauses) < before)
+
+    monkeypatch.setattr(Engine, "_maybe_reduce_db", spy)
+    rng = random.Random(2603)
+    digest = hashlib.sha256()
+    probe_conflicts = 0
+    for round_ in range(50):
+        num_vars = rng.randint(8, 16)
+        e = Engine(random_cnf(rng, num_vars, rng.randint(3 * num_vars, 5 * num_vars)), num_vars, seed=round_)
+        for _ in range(3):
+            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, e.num_vars + 1), 4)]
+            e.solve(lits[:2])
+            before = e.conflicts
+            e.propagate_under(lits[1:])
+            probe_conflicts += e.conflicts - before
+            e.add_vars(2)
+            e.add_clause([e.num_vars, -(e.num_vars - 1)] + lits[:2])
+            e.add_clause([e.num_vars - 1] + [-l for l in lits[2:]])
+        digest.update(engine_state(e).encode())
+    f = pigeonhole(1, 7)
+    e = Engine(list(f.hard) + list(f.soft), f.num_vars, seed=2)
+    assert isinstance(e.solve(), Unsat)
+    digest.update(engine_state(e).encode())
+    assert probe_conflicts > 0 and any(reductions)
+    assert e.var_inc < VAR_ACT_DECAY ** -e.conflicts * 1e-99  # rescaled
+    assert digest.hexdigest()[:16] == ENGINE_STATE_DIGEST

@@ -11,11 +11,10 @@ from distmaxsat.lookahead import (
     dump_paths,
     polarity_counts,
     rank_key,
-    replay_theta_trace,
 )
-from distmaxsat.oracle import gen_random, hard_models
+from distmaxsat.oracle import gen_random
 
-from conftest import random_cnf
+from conftest import hard_models, random_cnf, replay_theta_trace
 
 
 def path_masks(path):
@@ -80,11 +79,11 @@ def test_reduction_score_full_mode_matches_naive_rescan(rng):
         got = clause_reduction_score(e, assigned, lit, l_max)
         expected = 0.0
         for clause in e.clauses:
-            if len(clause.lits) < 2 or -lit not in clause.lits[:2]:
+            if len(clause) < 2 or -lit not in clause[:2]:
                 continue
-            if any(assigned.get(abs(q)) == (q > 0) for q in clause.lits):
+            if any(assigned.get(abs(q)) == (q > 0) for q in clause):
                 continue
-            reduced = sum(1 for q in clause.lits if abs(q) not in assigned and q != -lit)
+            reduced = sum(1 for q in clause if abs(q) not in assigned and q != -lit)
             expected += 5.0 ** (l_max - reduced)
         assert got == expected
 
@@ -117,11 +116,11 @@ def test_choose_variable_matches_exhaustive_scorer(rng):
         def watched_score(lit):
             total = 0.0
             for clause in e.clauses + e.learned_clauses:
-                if len(clause.lits) < 2 or -lit not in clause.lits[:2]:
+                if len(clause) < 2 or -lit not in clause[:2]:
                     continue
-                if clause not in e.watches[-lit]:
+                if not any(c is clause for c in e.watches[-lit]):
                     continue
-                reduced = sum(1 for q in clause.lits if q != -lit)
+                reduced = sum(1 for q in clause if q != -lit)
                 total += 5.0 ** (l_max - reduced)
             return total
 

@@ -1,9 +1,9 @@
 import pytest
 
 from distmaxsat.formula import make_formula, parse_wcnf, serialize_wcnf
-from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random, hard_models
+from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
 
-from conftest import assignment_from_mask, clause_holds
+from conftest import assignment_from_mask, clause_holds, hard_models
 
 
 def test_brute_force_two_var_example():
