@@ -1,5 +1,8 @@
 """Distributed partial MaxSAT solving: sequential algorithms, search-space
-splitting over optimum bounds, and lookahead-generated guiding paths."""
+splitting over optimum bounds, and lookahead-generated guiding paths.
+
+The brute-force oracle is not re-exported: no solving process needs it, so
+it is imported from `distmaxsat.oracle` where it is wanted."""
 
 from .formula import (
     WcnfFormula,
@@ -14,7 +17,6 @@ from .formula import (
 from .engine import Engine, Sat, Unsat
 from .cardinality import AtMostEncoding, encode_totalizer, bound_assumptions
 from .sequential import OptOutcome, Optimum, HardUnsat, linear_su, msu3, oll
-from .oracle import brute_force, gen_random, HARD_UNSAT
 
 __all__ = [
     "WcnfFormula",
@@ -37,7 +39,4 @@ __all__ = [
     "linear_su",
     "msu3",
     "oll",
-    "brute_force",
-    "gen_random",
-    "HARD_UNSAT",
 ]

@@ -56,9 +56,15 @@ def encode_totalizer(inputs, fresh_from: int, k: int | None = None, base: AtMost
         next_var += m - len(have)
         lo, ro = left.outputs, right.outputs
         for s in range(len(have) + 1, m + 1):
+            out = outputs[s - 1]
             for a in range(max(0, s - len(ro)), min(s, len(lo)) + 1):
                 b = s - a
-                clauses.append(((-lo[a - 1],) if a else ()) + ((-ro[b - 1],) if b else ()) + (outputs[s - 1],))
+                if not a:
+                    clauses.append((-ro[b - 1], out))
+                elif not b:
+                    clauses.append((-lo[a - 1], out))
+                else:
+                    clauses.append((-lo[a - 1], -ro[b - 1], out))
         return _Node(outputs, left, right, size)
 
     def raise_k(node: _Node) -> _Node:
@@ -115,6 +121,5 @@ class Totalizer:
             self.enc = encode_totalizer(self.pending, engine.num_vars + 1, b, self.enc)
             self.pending = []
             engine.add_vars(len(self.enc.aux_vars))
-            for clause in self.enc.clauses:
-                engine.add_clause(clause)
+            engine.add_clauses(self.enc.clauses)
         return bound_assumptions(self.enc, b)

@@ -3,8 +3,9 @@
 The solver is a conventional conflict-driven clause learner: two watched
 literals per clause, first-UIP learning, activity-based branching with
 multiplicative decay, phase saving and Luby restarts.  Assumptions are placed
-as the first decisions; when one is contradicted, the subset of assumptions
-responsible is returned as the core.
+as the first decisions (Eén and Sörensson, SAT 2003), one level each, so
+assumption i sits at level i + 1; when one is contradicted, the subset of
+assumptions responsible is returned as the core.
 
 Beyond `solve`, the engine exposes `propagate_under`, which learns from any
 conflict it meets above level 0, and its `watches` lists, so the guiding-path
@@ -40,10 +41,13 @@ them knowingly and is measured as a change of search:
 - branching takes the unassigned variable of highest activity, then of
   highest `tie_rank`, then of lowest index, in its saved phase; `tie_rank`
   is the engine's only use of its random generator;
-- `add_clause` stores the unfalsified literals first, in input order.
+- `add_clauses`, which `__init__` also uses, takes the clauses in order and
+  stores each with its unfalsified literals first, in input order, watching
+  the first two;
+- `solve` places the assumptions in order, propagating after each one.
 
 The hot loops (`_propagate`, `_cancel_until`, `_pick_branch`, `_analyze`,
-the decision loops of `solve` and `propagate_under`, and `add_clause`) bind
+the decision loops of `solve` and `propagate_under`, and `add_clauses`) bind
 lists to locals and read and assign literal values inline on purpose: in
 CPython a method call per literal costs more than the work it wraps.
 """
@@ -102,8 +106,7 @@ class Engine:
         self.restarts = 0
         self._rng = random.Random(seed)
         self.add_vars(num_vars)
-        for c in clauses:
-            self.add_clause(c)
+        self.add_clauses(clauses)
 
     # ------------------------------------------------------------------ vars
 
@@ -123,46 +126,57 @@ class Engine:
 
     # --------------------------------------------------------------- clauses
 
-    def add_clause(self, lits) -> None:
-        """Add a problem clause; only legal at decision level 0."""
+    def add_clauses(self, clauses) -> None:
+        """Add problem clauses in order; only legal at decision level 0.
+
+        A repeated literal is kept once.  Each clause is stored with its
+        unfalsified literals first, in input order; a unit propagates at once.
+        """
         if self.trail_lim:
-            raise ValueError("add_clause requires decision level 0")
+            raise ValueError("adding clauses requires decision level 0")
         n = self.num_vars
         assigns = self.assigns
-        seen = set()
-        unfalsified = []
-        falsified = []
-        for lit in lits:
-            if lit in seen:
+        watches = self.watches
+        stored = self.clauses
+        for lits in clauses:
+            unfalsified = []
+            falsified = []
+            for lit in lits:
+                if not (0 < lit <= n or 0 < -lit <= n):
+                    raise ValueError(f"literal {lit} out of range")
+                # -lit is unfalsified when lit is falsified or unassigned.
+                val = assigns[lit]
+                if val < 0:
+                    if lit in falsified:
+                        continue
+                    if -lit in unfalsified:
+                        raise ValueError(f"tautological clause: contains {-lit} and {lit}")
+                    falsified.append(lit)
+                else:
+                    if lit in unfalsified:
+                        continue
+                    if -lit in (falsified if val > 0 else unfalsified):
+                        raise ValueError(f"tautological clause: contains {-lit} and {lit}")
+                    unfalsified.append(lit)
+            if self.root_unsat:
                 continue
-            if not 0 < abs(lit) <= n:
-                raise ValueError(f"literal {lit} out of range")
-            if -lit in seen:
-                raise ValueError(f"tautological clause: contains {-lit} and {lit}")
-            seen.add(lit)
-            if assigns[lit] < 0:
-                falsified.append(lit)
+            if len(unfalsified) >= 2:
+                clause = unfalsified + falsified
+                stored.append(clause)
+                watches[unfalsified[0]].append(clause)
+                watches[unfalsified[1]].append(clause)
+            elif unfalsified:
+                # Permanently satisfied or unit at level 0; no watches needed
+                # since level-0 falsifications are never undone.
+                lit = unfalsified[0]
+                stored.append([lit] + falsified)
+                if assigns[lit] == 0:
+                    self._enqueue(lit, None)
+                    if self._propagate() is not None:
+                        self._mark_root_unsat()
             else:
-                unfalsified.append(lit)
-        if self.root_unsat:
-            return
-        if len(unfalsified) >= 2:
-            clause = unfalsified + falsified
-            self.clauses.append(clause)
-            self.watches[unfalsified[0]].append(clause)
-            self.watches[unfalsified[1]].append(clause)
-        elif unfalsified:
-            # Permanently satisfied or unit at level 0; no watches needed since
-            # level-0 falsifications are never undone.
-            lit = unfalsified[0]
-            self.clauses.append([lit] + falsified)
-            if assigns[lit] == 0:
-                self._enqueue(lit, None)
-                if self._propagate() is not None:
-                    self._mark_root_unsat()
-        else:
-            self.clauses.append(falsified)
-            self._mark_root_unsat()
+                stored.append(falsified)
+                self._mark_root_unsat()
 
     def _mark_root_unsat(self) -> None:
         self.root_unsat = True
@@ -386,6 +400,10 @@ class Engine:
         if deadline is not None and clock is not None and clock() > deadline:
             raise TimeoutError("solve deadline exceeded")
         assumptions = list(assumptions)
+        n = self.num_vars
+        if assumptions and (min(assumptions) < -n or max(assumptions) > n or 0 in assumptions):
+            bad = next(p for p in assumptions if not (0 < p <= n or 0 < -p <= n))
+            raise ValueError(f"assumption {bad} out of range")
         if self.root_unsat:
             return Unsat(frozenset())
         self._cancel_until(0)
@@ -416,8 +434,6 @@ class Engine:
             level = len(trail_lim)
             if level < len(assumptions):
                 p = assumptions[level]
-                if abs(p) > self.num_vars or p == 0:
-                    raise ValueError(f"assumption {p} out of range")
                 val = assigns[p]
                 if val < 0:
                     core = self._analyze_final(p)
@@ -429,7 +445,7 @@ class Engine:
                 continue
             lit = self._pick_branch()
             if lit == 0:
-                last = self.num_vars if model_vars is None else model_vars
+                last = n if model_vars is None else model_vars
                 model = {v: assigns[v] > 0 for v in range(1, last + 1)}
                 self._cancel_until(0)
                 return Sat(model)

@@ -142,19 +142,19 @@ def relax(f: WcnfFormula) -> RelaxedFormula:
     return RelaxedFormula(base=f, clauses=tuple(clauses), relax_vars=relax_vars)
 
 
-def clause_satisfied(clause: tuple[int, ...], assignment: dict[int, bool]) -> bool:
-    return any(assignment.get(abs(l)) == (l > 0) for l in clause)
-
-
 def cost(f: WcnfFormula, assignment: dict[int, bool]) -> int:
-    """Number of soft clauses falsified by a total, hard-satisfying assignment."""
-    for v in range(1, f.num_vars + 1):
-        if v not in assignment:
-            raise ValueError(f"assignment not total: variable {v} unassigned")
+    """Number of soft clauses falsified by a total, hard-satisfying assignment.
+
+    Variables above `f.num_vars` are ignored.
+    """
+    try:
+        true = {v if assignment[v] else -v for v in range(1, f.num_vars + 1)}
+    except KeyError as missing:
+        raise ValueError(f"assignment not total: variable {missing.args[0]} unassigned") from None
     for clause in f.hard:
-        if not clause_satisfied(clause, assignment):
+        if true.isdisjoint(clause):
             raise ValueError(f"assignment violates hard clause {clause}")
-    return sum(1 for clause in f.soft if not clause_satisfied(clause, assignment))
+    return sum(map(true.isdisjoint, f.soft))
 
 
 def model_literals(f: WcnfFormula, assignment: dict[int, bool]) -> list[int]:

@@ -149,8 +149,12 @@ class MasterBase:
             self.send(wid, self._terminate_msg)
 
     def _checked_model(self, payload) -> tuple[int, dict[int, bool]] | None:
-        """Validate a reported model; None means the report was bogus."""
+        """Validate a reported model; None means the report was bogus: not
+        one literal for each variable of the formula (`cost` checks that each
+        is there), a hard clause falsified, or a cost other than the stated."""
         lits = payload["model"]
+        if len(lits) != self.f.num_vars:
+            return None
         model = {abs(l): l > 0 for l in lits}
         try:
             found = cost(self.f, model)

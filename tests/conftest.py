@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 
 from distmaxsat.engine import Engine
-from distmaxsat.formula import clause_satisfied, make_formula
+from distmaxsat.formula import make_formula
 from distmaxsat.lookahead import CUTOFF_GROWTH, CUTOFF_SHRINK
 from distmaxsat.oracle import _enumeration
 
@@ -15,7 +15,9 @@ def assignment_from_mask(mask: int, num_vars: int) -> dict[int, bool]:
 
 
 def clause_holds(clause, assignment: dict[int, bool]) -> bool:
-    return clause_satisfied(tuple(clause), assignment)
+    """Some literal of `clause` is true under `assignment`: the evaluator
+    that `formula.cost` is checked against."""
+    return any(assignment.get(abs(l)) == (l > 0) for l in clause)
 
 
 def hard_models(f) -> list[int]:

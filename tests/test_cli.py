@@ -410,9 +410,9 @@ def test_solver_never_imports_numpy(instance):
 
 
 def test_each_mode_imports_only_the_code_it_runs(instance):
-    """A standalone solve loads no distributed code, no dataclasses and no
-    sockets, and a worker or a sim sss solve no lookahead (fresh interpreter;
-    only modules loaded after start-up count)."""
+    """A standalone solve loads no distributed code, no oracle, no
+    dataclasses and no sockets, and a worker or a sim sss solve no lookahead
+    (fresh interpreter; only modules loaded after start-up count)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import json, sys\n"
@@ -433,9 +433,10 @@ def test_each_mode_imports_only_the_code_it_runs(instance):
     code, standalone, worker, sim_code, sim = json.loads(proc.stdout.splitlines()[-1])
     assert code == sim_code == 30
     unneeded = {"dataclasses", "distmaxsat.orchestration", "distmaxsat.transport", "distmaxsat.lookahead",
-                "socket", "selectors"}
+                "distmaxsat.oracle", "socket", "selectors"}
     assert unneeded.intersection(standalone) == set()
     assert "distmaxsat.orchestration" in worker and "distmaxsat.lookahead" not in worker + sim
+    assert "distmaxsat.oracle" not in sim
 
 
 def test_unreachable_master_ends_in_one_error_line(instance, capsys, monkeypatch):

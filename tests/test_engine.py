@@ -45,8 +45,8 @@ def test_solve_agrees_with_brute_force_small():
 
 def test_add_clause_conflicting_units():
     e = Engine(num_vars=1)
-    e.add_clause((1,))
-    e.add_clause((-1,))
+    e.add_clauses([(1,)])
+    e.add_clauses([(-1,)])
     assert e.root_unsat
     assert isinstance(e.solve(), Unsat)
 
@@ -55,15 +55,54 @@ def test_add_clause_requires_level_zero():
     e = Engine([(1, 2)], num_vars=2)
     e._new_level()
     with pytest.raises(ValueError, match="level 0"):
-        e.add_clause((2,))
+        e.add_clauses([(2,)])
 
 
 def test_add_clause_rejects_bad_literals():
     e = Engine(num_vars=2)
     with pytest.raises(ValueError, match="out of range"):
-        e.add_clause((3,))
+        e.add_clauses([(3,)])
     with pytest.raises(ValueError, match="tautological"):
-        e.add_clause((1, -1))
+        e.add_clauses([(1, -1)])
+
+
+def test_one_add_clauses_batch_leaves_the_state_of_one_call_per_clause():
+    """One batch, one `add_clauses` call per clause, or the constructor: the
+    same stored clauses, watches, level-0 trail and errors."""
+    batch = [
+        (2, 3),
+        (5, 4, 6),
+        (1, 1, -2),
+        (4, -6),
+        (-4,),  # a unit: ¬4, then ¬6 from (4, -6) and 5 from (5, 4, 6)
+        (-3, 2, 6, 4, 5),  # falsified 6 and 4 in the middle
+        (6, -4, -1),
+    ]
+    one_by_one = Engine(num_vars=6, seed=3)
+    for clause in batch:
+        one_by_one.add_clauses([clause])
+    at_once = Engine(num_vars=6, seed=3)
+    at_once.add_clauses(batch)
+    built = Engine(batch, num_vars=6, seed=3)
+    assert engine_state(at_once) == engine_state(one_by_one) == engine_state(built)
+    assert at_once.trail == [-4, -6, 5]
+    assert at_once.clauses[5:] == [[-3, 2, 5, 6, 4], [-4, -1, 6]]
+    for bad, error in (((1, 7), "out of range"), ((0,), "out of range"), ((2, 3, -2), "tautological"),
+                       ((-6, 6), "tautological"), ((6, -6), "tautological")):
+        with pytest.raises(ValueError, match=error):
+            at_once.add_clauses([(1, 2), bad])
+        one_by_one.add_clauses([(1, 2)])
+        with pytest.raises(ValueError, match=error):
+            one_by_one.add_clauses([bad])
+        assert engine_state(at_once) == engine_state(one_by_one)
+
+
+def test_solve_rejects_zero_and_out_of_range_assumptions_on_entry():
+    e = Engine([(1, 2)], num_vars=2)
+    for bad in ([0], [1, 3], [-3], [-1, -2, 7]):  # the last: a conflict comes first
+        with pytest.raises(ValueError, match=f"assumption {bad[-1]} out of range"):
+            e.solve(bad)
+    assert e.solve([-1]).model == {1: False, 2: True}
 
 
 def test_incremental_blocking_clause():
@@ -75,7 +114,7 @@ def test_incremental_blocking_clause():
         if not isinstance(result, Sat):
             continue
         blocking = tuple(-v if result.model[v] else v for v in range(1, 9))
-        e.add_clause(blocking)
+        e.add_clauses([blocking])
         second = e.solve()
         expected = brute_force_sat(clauses + [blocking], 8)
         if isinstance(second, Sat):
@@ -365,7 +404,7 @@ def test_pick_branch_breaks_activity_ties_by_tie_rank():
 
 def test_add_clause_puts_unfalsified_literals_first_and_watches_them():
     e = Engine([(-1,), (-2,)], num_vars=5)
-    e.add_clause((1, 3, 2, 4))
+    e.add_clauses([(1, 3, 2, 4)])
     clause = e.clauses[-1]
     assert clause == [3, 4, 1, 2]
     assert [l for l in (1, 2, 3, 4) if watched_by(e, l, clause)] == [3, 4]
@@ -397,7 +436,7 @@ def test_engine_state_is_pinned(monkeypatch):
     """Same search: fixed work leaves the same engine state, bit for bit.
 
     Fifty seeded random CNFs are solved under assumptions, grown with
-    `add_vars` and `add_clause` and probed by `propagate_under`; then one
+    `add_vars` and `add_clauses` and probed by `propagate_under`; then one
     pigeonhole solve runs long enough to reduce the learned clauses and to
     rescale the activities.
     """
@@ -423,8 +462,8 @@ def test_engine_state_is_pinned(monkeypatch):
             e.propagate_under(lits[1:])
             probe_conflicts += e.conflicts - before
             e.add_vars(2)
-            e.add_clause([e.num_vars, -(e.num_vars - 1)] + lits[:2])
-            e.add_clause([e.num_vars - 1] + [-l for l in lits[2:]])
+            e.add_clauses([[e.num_vars, -(e.num_vars - 1)] + lits[:2]])
+            e.add_clauses([[e.num_vars - 1] + [-l for l in lits[2:]]])
         digest.update(engine_state(e).encode())
     f = pigeonhole(1, 7)
     e = Engine(list(f.hard) + list(f.soft), f.num_vars, seed=2)

@@ -17,7 +17,7 @@ from distmaxsat.orchestration import (
 from distmaxsat.sequential import msu3
 from distmaxsat.transport import Message, SimBus, decode_message
 
-from conftest import pigeonhole
+from conftest import clause_holds, pigeonhole
 
 
 def test_initial_upper_bound_hard_unsat():
@@ -507,6 +507,35 @@ def test_sss_caps_a_probe_lower_bound_at_bound_plus_one():
     master.on_message("w2", Message("report_done", "w2", {"task": probes["w3"], "lb": mu + 5}))
     assert master.window.lam == probes["w2"] + 1
     assert not master.finished
+
+
+@pytest.mark.parametrize("master_cls", [SssMaster, GpMaster])
+def test_master_ignores_a_lying_report_sat(master_cls):
+    """A report_sat whose model is partial, falsifies a hard clause, names a
+    variable beyond the formula's or costs other than it says moves nothing;
+    the honest report of the same optimum then lowers μ to it."""
+    f = pigeonhole(2)
+    master, _sent = begun_master(master_cls, f, ["w1", "w2"])
+    before = (master.window.lam, master.window.mu, master.best_model, list(master.audit))
+    optimum = msu3(f)
+    assert optimum.cost == 2 < master.window.mu
+    lits = [v if optimum.model[v] else -v for v in range(1, f.num_vars + 1)]
+    a, b = (-l for l in next(c for c in f.hard if all(optimum.model[-l] is False for l in c)))
+    clash = [abs(l) if abs(l) in (a, b) else l for l in lits]
+    clash_soft = sum(not clause_holds(c, {abs(l): l > 0 for l in clash}) for c in f.soft)
+    lies = [
+        {"cost": 2, "model": lits[:-1]},  # partial
+        {"cost": 2, "model": lits[:-1] + [f.num_vars + 1]},  # a variable beyond the formula's
+        {"cost": 2, "model": lits + [f.num_vars + 1]},
+        {"cost": 1, "model": lits},  # misstated cost
+        {"cost": 3, "model": lits},
+        {"cost": clash_soft, "model": clash},  # both pigeons of a hard clause in its hole
+    ]
+    for lie in lies:
+        master.on_message("w2", Message("report_sat", "w2", lie))
+        assert (master.window.lam, master.window.mu, master.best_model, master.audit) == before, lie
+    master.on_message("w2", Message("report_sat", "w2", {"cost": 2, "model": lits}))
+    assert master.window.mu == 2 and master.best_model == optimum.model
 
 
 def test_gp_ignores_stale_done_and_caps_live_lower_bound_at_mu_sent():
