@@ -46,10 +46,19 @@ them knowingly and is measured as a change of search:
   the first two;
 - `solve` places the assumptions in order, propagating after each one.
 
+The branching rule is kept as one list, `order`: `by_tie`, every variable by
+descending `tie_rank` (rebuilt after `add_vars`), stably re-sorted by
+descending activity, so ties keep the lower index first.  `_analyze` (which
+bumps and rescales) and `add_vars` mark it stale; the next pick rebuilds it.
+A cursor walks it past assigned variables, never moving back between
+backtracks, and `_cancel_until` rewinds it to 0: the scan's pick, without a
+scan of every variable per decision.
+
 The hot loops (`_propagate`, `_cancel_until`, `_pick_branch`, `_analyze`,
 the decision loops of `solve` and `propagate_under`, and `add_clauses`) bind
 lists to locals and read and assign literal values inline on purpose: in
 CPython a method call per literal costs more than the work it wraps.
+`_pick_branch`'s two sorts key on `list.__getitem__`, so they run in C.
 """
 
 from __future__ import annotations
@@ -95,6 +104,11 @@ class Engine:
         self.tie_rank: list[float] = [0.0]
         self.watches: list[list[list[int]]] = [[]]  # indexed like assigns
         self.seen: list[bool] = [False]  # _analyze's marks, all clear between calls
+        # The branching order and its tie_rank base, None when stale (see
+        # the module docstring); order[:cursor] is assigned.
+        self.order: list[int] | None = None
+        self.by_tie: list[int] | None = None
+        self.cursor = 0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -123,6 +137,7 @@ class Engine:
         self.tie_rank += [self._rng.random() for _ in range(n)]
         self.seen += [False] * n
         self.watches[first:first] = [[] for _ in range(2 * n)]
+        self.order = self.by_tie = None
 
     # --------------------------------------------------------------- clauses
 
@@ -257,6 +272,7 @@ class Engine:
         del trail[boundary:]
         del trail_lim[level:]
         self.qhead = boundary
+        self.cursor = 0
 
     def _new_level(self) -> None:
         self.trail_lim.append(len(self.trail))
@@ -308,6 +324,7 @@ class Engine:
         for q in learnt:  # the only marks left are the lower-level literals'
             seen[q if q > 0 else -q] = False
         self.var_inc = var_inc / VAR_ACT_DECAY
+        self.order = None
         if len(learnt) == 1:
             return learnt, 0
         # The first literal of the second-highest level moves to the other
@@ -352,20 +369,23 @@ class Engine:
 
     def _pick_branch(self) -> int:
         """Unassigned variable of highest activity, then highest `tie_rank`,
-        in its saved phase; 0 when every variable is assigned."""
+        then lowest index, in its saved phase; 0 when every variable is assigned."""
+        order = self.order
+        if order is None:
+            if self.by_tie is None:
+                self.by_tie = sorted(range(1, self.num_vars + 1), key=self.tie_rank.__getitem__, reverse=True)
+            order = self.order = sorted(self.by_tie, key=self.activity.__getitem__, reverse=True)
+            self.cursor = 0
         assigns = self.assigns
-        activity = self.activity
-        tie_rank = self.tie_rank
-        best = 0
-        best_act = best_tie = -1.0
-        for v in range(1, self.num_vars + 1):
-            if assigns[v] == 0:
-                act = activity[v]
-                if act > best_act or (act == best_act and tie_rank[v] > best_tie):
-                    best, best_act, best_tie = v, act, tie_rank[v]
-        if best == 0:
+        i = self.cursor
+        end = len(order)
+        while i < end and assigns[order[i]]:
+            i += 1
+        self.cursor = i
+        if i == end:
             return 0
-        return best if self.phase[best] else -best
+        v = order[i]
+        return v if self.phase[v] else -v
 
     def _analyze_final(self, p: int) -> frozenset[int]:
         """Assumptions responsible for forcing assumption `p` false."""
@@ -404,6 +424,8 @@ class Engine:
         if assumptions and (min(assumptions) < -n or max(assumptions) > n or 0 in assumptions):
             bad = next(p for p in assumptions if not (0 < p <= n or 0 < -p <= n))
             raise ValueError(f"assumption {bad} out of range")
+        if model_vars is not None and not 0 <= model_vars <= n:
+            raise ValueError(f"model_vars {model_vars} out of range")
         if self.root_unsat:
             return Unsat(frozenset())
         self._cancel_until(0)
@@ -462,6 +484,10 @@ class Engine:
         `analyze_and_learn`.  The engine always ends at level 0.
         """
         decisions = list(decisions)
+        n = self.num_vars
+        if decisions and (min(decisions) < -n or max(decisions) > n or 0 in decisions):
+            bad = next(d for d in decisions if not (0 < d <= n or 0 < -d <= n))
+            raise ValueError(f"decision {bad} out of range")
         dec_set = set(decisions)
         if any(-d in dec_set for d in decisions):
             raise ValueError("decisions contain complementary literals")
@@ -474,8 +500,6 @@ class Engine:
         trail = self.trail
         assigns = self.assigns
         for d in decisions:
-            if not 0 < abs(d) <= self.num_vars:
-                raise ValueError(f"decision {d} out of range")
             val = assigns[d]
             if val > 0:
                 continue

@@ -151,8 +151,13 @@ class PathGenerator:
     def __init__(self, hard_clauses, soft_clauses, num_vars: int, seed: int = 0):
         hard_clauses = [tuple(c) for c in hard_clauses]
         self.engine = Engine(hard_clauses, num_vars=num_vars, seed=seed)
-        self.soft = [tuple(c) for c in soft_clauses]
-        self.soft_vars = sorted({abs(l) for c in self.soft for l in c})
+        # The soft clauses holding ±v, the only ones choose_polarity counts for v.
+        self.soft_with: dict[int, list[tuple[int, ...]]] = {}
+        for c in soft_clauses:
+            c = tuple(c)
+            for v in {abs(l) for l in c}:
+                self.soft_with.setdefault(v, []).append(c)
+        self.soft_vars = sorted(self.soft_with)
         # Frozen at construction: learned clauses never move these.
         self.hard_count = len(hard_clauses)
         self.var_count = len({abs(l) for c in hard_clauses for l in c})
@@ -203,7 +208,7 @@ class PathGenerator:
                 # Every soft variable is assigned; nothing left worth splitting.
                 self._emit(decisions, parent_index, result, "emit")
                 continue
-            lit = choose_polarity(self.soft, assigned, var)
+            lit = choose_polarity(self.soft_with[var], assigned, var)
             queue.append(decisions + (lit,))
             queue.append(decisions + (-lit,))
         for decisions in queue:

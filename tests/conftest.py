@@ -79,6 +79,22 @@ def naive_propagate(clauses, decisions):
     return implied, False
 
 
+def scan_pick_branch(engine) -> int:
+    """The branching rule as a scan of every variable: the unassigned one of
+    highest activity, then highest `tie_rank`, then lowest index, in its saved
+    phase; 0 when every variable is assigned.  Oracle for `_pick_branch`."""
+    best = 0
+    best_act = best_tie = -1.0
+    for v in range(1, engine.num_vars + 1):
+        if engine.assigns[v] == 0:
+            act = engine.activity[v]
+            if act > best_act or (act == best_act and engine.tie_rank[v] > best_tie):
+                best, best_act, best_tie = v, act, engine.tie_rank[v]
+    if best == 0:
+        return 0
+    return best if engine.phase[best] else -best
+
+
 def brute_force_sat(clauses, num_vars, assumptions=()):
     """Enumerate all assignments; return a satisfying model dict or None."""
     fixed = {abs(l): l > 0 for l in assumptions}

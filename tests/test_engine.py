@@ -5,7 +5,7 @@ import pytest
 
 from distmaxsat.engine import VAR_ACT_DECAY, Engine, Sat, Unsat, luby
 
-from conftest import brute_force_sat, naive_propagate, pigeonhole, random_cnf
+from conftest import brute_force_sat, naive_propagate, pigeonhole, random_cnf, scan_pick_branch
 
 
 def model_satisfies(clauses, model):
@@ -105,6 +105,15 @@ def test_solve_rejects_zero_and_out_of_range_assumptions_on_entry():
     assert e.solve([-1]).model == {1: False, 2: True}
 
 
+def test_solve_rejects_model_vars_beyond_the_engine_on_entry():
+    e = Engine([(1,), (2,)], num_vars=2)
+    for bad in (3, 4, -1):
+        with pytest.raises(ValueError, match=f"model_vars {bad} out of range"):
+            e.solve(model_vars=bad)
+    assert e.solve(model_vars=0).model == {}
+    assert e.solve(model_vars=2).model == {1: True, 2: True}
+
+
 def test_incremental_blocking_clause():
     rng = random.Random(11)
     for _ in range(30):
@@ -191,6 +200,16 @@ def test_propagate_under_rejects_complementary():
     e = Engine([], num_vars=2)
     with pytest.raises(ValueError, match="complementary"):
         e.propagate_under([1, -1])
+
+
+def test_propagate_under_checks_every_decision_before_placing_any():
+    e = Engine([(-1, 2)], num_vars=3)
+    for bad in ([1, 9], [1, 0], [2, -4]):
+        with pytest.raises(ValueError, match=f"decision {bad[-1]} out of range"):
+            e.propagate_under(bad)
+        assert not e.trail_lim and not e.trail
+    e.add_clauses([(2, 3)])
+    assert e.propagate_under([1]) == {2}
 
 
 def test_propagate_under_matches_naive_fixpoint():
@@ -396,10 +415,66 @@ def test_pick_branch_breaks_activity_ties_by_tie_rank():
     e.phase[2] = True
     assert e._pick_branch() == 2
     e.activity[3] = 1.5
+    e.order = None  # stale, as `_analyze` leaves it after bumping
     assert e._pick_branch() == -3
     e._new_level()
     e._enqueue(-3, None)
     assert e._pick_branch() == 2
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """One flag per `_maybe_reduce_db` call during the test: whether it
+    dropped learned clauses."""
+    log = []
+    reduce_db = Engine._maybe_reduce_db
+
+    def spy(engine):
+        before = len(engine.learned_clauses)
+        reduce_db(engine)
+        log.append(len(engine.learned_clauses) < before)
+
+    monkeypatch.setattr(Engine, "_maybe_reduce_db", spy)
+    return log
+
+
+def test_decision_order_matches_the_scan(monkeypatch, reductions):
+    """`_pick_branch` picks what a scan of every variable picks, at every
+    decision: of seeded solves under assumptions, with `propagate_under`
+    probes and `add_vars` plus `add_clauses` between them, and of one
+    pigeonhole solve that restarts, reduces its learned clauses and rescales
+    the activities."""
+    picks = []
+    pick_branch = Engine._pick_branch
+
+    def checked(engine):
+        expected = scan_pick_branch(engine)
+        lit = pick_branch(engine)
+        assert lit == expected
+        picks.append(lit)
+        return lit
+
+    monkeypatch.setattr(Engine, "_pick_branch", checked)
+    rng = random.Random(2811)
+    probes = 0
+    for round_ in range(30):
+        num_vars = rng.randint(8, 16)
+        e = Engine(random_cnf(rng, num_vars, rng.randint(3 * num_vars, 5 * num_vars)), num_vars, seed=round_)
+        for _ in range(3):
+            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, e.num_vars + 1), 4)]
+            e.solve(lits[:2])
+            probes += e.propagate_under(lits[1:]) is not None
+            e.solve()
+            e.add_vars(2)
+            e.add_clauses([[e.num_vars, -(e.num_vars - 1)] + lits[:2]])
+    assert probes > 0
+    start = len(picks)
+    f = pigeonhole(1, 7)
+    e = Engine(list(f.hard) + list(f.soft), f.num_vars, seed=2)
+    assert isinstance(e.solve(), Unsat)
+    assert e.restarts > 0 and any(reductions)
+    assert e.var_inc < VAR_ACT_DECAY ** -e.conflicts * 1e-99  # rescaled
+    assert len(picks) - start > e.conflicts and 0 in picks
 
 
 def test_add_clause_puts_unfalsified_literals_first_and_watches_them():
@@ -432,7 +507,7 @@ def engine_state(engine) -> str:
 ENGINE_STATE_DIGEST = "9436a538f6cc8d94"
 
 
-def test_engine_state_is_pinned(monkeypatch):
+def test_engine_state_is_pinned(reductions):
     """Same search: fixed work leaves the same engine state, bit for bit.
 
     Fifty seeded random CNFs are solved under assumptions, grown with
@@ -440,15 +515,6 @@ def test_engine_state_is_pinned(monkeypatch):
     pigeonhole solve runs long enough to reduce the learned clauses and to
     rescale the activities.
     """
-    reductions = []
-    reduce_db = Engine._maybe_reduce_db
-
-    def spy(engine):
-        before = len(engine.learned_clauses)
-        reduce_db(engine)
-        reductions.append(len(engine.learned_clauses) < before)
-
-    monkeypatch.setattr(Engine, "_maybe_reduce_db", spy)
     rng = random.Random(2603)
     digest = hashlib.sha256()
     probe_conflicts = 0
