@@ -10,7 +10,7 @@ hand, 0 timed out or unknown, 1 usage, input or connection errors.
 
 A socket master answers before any worker is there: its first "o" line is
 the model of the hard clauses, or it prints "s UNSATISFIABLE" when there is
-none.  The run begins at the first worker to say hello, and later ones join
+none, or "s UNKNOWN" when that SAT call outlasts `--timeout`.  The run begins at the first worker to say hello, and later ones join
 as helpers; a connection that never says hello holds nothing up.  On
 printing its result it closes every connection that has not said hello.  It
 then exits once all `--workers` have connected and each later connection has
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", metavar="HOST:PORT", help="worker mode master address")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=None, help="wall-clock budget in seconds")
-    p.add_argument("--dump-paths", metavar="FILE", help="write generated guiding paths (gp only)")
+    p.add_argument("--dump-paths", metavar="FILE", help="write gp's guiding paths (sim and master modes)")
     return p
 
 
@@ -79,25 +79,23 @@ class Reporter:
         print(f"o {found}", file=self.out, flush=True)
 
     def finish(self, status: str) -> int:
+        """Print the result: "optimum" and "unsatisfiable" as proven, any
+        other status as the best model held, or unknown without one."""
         if status == "unsatisfiable":
             print("s UNSATISFIABLE", file=self.out)
             return EXIT_UNSAT
-        if status in ("optimum", "satisfiable") and self.model is not None:
-            # Validate before printing: the model must satisfy the hard
-            # clauses and cost exactly the last reported "o" value.
-            recomputed = cost(self.f, self.model)
-            if not self.costs or recomputed != self.costs[-1]:
-                print(f"o {recomputed}", file=self.out)
-            line = " ".join(str(l) for l in model_literals(self.f, self.model))
-            if status == "optimum":
-                print("s OPTIMUM FOUND", file=self.out)
-                print(f"v {line}", file=self.out)
-                return EXIT_OPTIMUM
-            print("s SATISFIABLE", file=self.out)
-            print(f"v {line}", file=self.out)
-            return EXIT_SAT_INCOMPLETE
-        print("s UNKNOWN", file=self.out)
-        return EXIT_UNKNOWN
+        if self.model is None:
+            print("s UNKNOWN", file=self.out)
+            return EXIT_UNKNOWN
+        # Validate before printing: the model must satisfy the hard clauses
+        # and cost exactly the last reported "o" value.
+        recomputed = cost(self.f, self.model)
+        if not self.costs or recomputed != self.costs[-1]:
+            print(f"o {recomputed}", file=self.out)
+        optimum = status == "optimum"
+        print("s OPTIMUM FOUND" if optimum else "s SATISFIABLE", file=self.out)
+        print("v " + " ".join(str(l) for l in model_literals(self.f, self.model)), file=self.out)
+        return EXIT_OPTIMUM if optimum else EXIT_SAT_INCOMPLETE
 
 
 def _run_standalone(args, f, reporter, deadline) -> int:
@@ -116,7 +114,7 @@ def _run_standalone(args, f, reporter, deadline) -> int:
             )
     except TimeoutError:
         print("c timeout", file=reporter.out)
-        return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
+        return reporter.finish("unknown")
     if isinstance(outcome, HardUnsat):
         return reporter.finish("unsatisfiable")
     assert isinstance(outcome, Optimum)
@@ -130,14 +128,19 @@ def _run_sim(args, f, reporter, deadline) -> int:
         f, args.algo, num_workers=args.workers, seed=args.seed,
         on_improve=reporter.improve, deadline=deadline, clock=time.monotonic,
     )
-    if args.dump_paths and args.algo == "gp":
-        from .lookahead import dump_paths
-        with open(args.dump_paths, "w", encoding="utf-8") as fh:
-            fh.write(dump_paths(outcome.master.generated_paths))
+    _dump_paths(args, outcome.master)
     if outcome.verdict.status == "unknown":
         print("c timeout", file=reporter.out)
-        return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
     return reporter.finish(outcome.verdict.status)
+
+
+def _dump_paths(args, master) -> None:
+    """Write gp's root frontier for `--dump-paths`: it is final once the
+    master has started (empty when the first SAT call ended the run)."""
+    if args.dump_paths:
+        from .lookahead import dump_paths
+        with open(args.dump_paths, "w", encoding="utf-8") as fh:
+            fh.write(dump_paths(master.generated_paths))
 
 
 def _run_master(args, f, reporter, addr, deadline) -> int:
@@ -168,10 +171,14 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
     joined = 0
     code = None  # set once the result is printed
     try:
-        # The first model, or the proof that there is none, comes before any
-        # worker: workers join as they connect.
-        if deadline is None or time.monotonic() <= deadline:
-            master.start()
+        # The master's one search, before any worker: workers join as they
+        # connect.
+        try:
+            master.start(deadline, time.monotonic)
+        except TimeoutError:
+            print("c timeout", file=reporter.out)
+            return reporter.finish("unknown")
+        _dump_paths(args, master)
         while True:
             while lost:
                 wid = lost.pop(0)
@@ -193,7 +200,7 @@ def _run_master(args, f, reporter, addr, deadline) -> int:
                     continue
                 elif timed_out or (joined == args.workers and not by_id):
                     print("c timeout" if timed_out else "c no worker left", file=reporter.out)
-                    return reporter.finish("satisfiable" if reporter.model is not None else "unknown")
+                    return reporter.finish("unknown")
             # After the result, wait until every worker has connected, and
             # each one that connects later has said hello and been answered
             # with terminate.
@@ -260,30 +267,32 @@ def _run_worker(f, addr, seed, deadline) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _usage_error(args) -> str | None:
+    """The first flag combination that cannot run, as its error line."""
     if args.algo in ("sss", "gp") and args.mode == "standalone":
-        parser.print_usage(sys.stderr)
-        print(f"error: --algo {args.algo} needs --mode sim, master or worker", file=sys.stderr)
-        return EXIT_USAGE
+        return f"--algo {args.algo} needs --mode sim, master or worker"
     # A worker runs whatever tasks its master assigns, so --algo does not
     # apply to it.
     if args.algo in ("linear", "msu3") and args.mode in ("sim", "master"):
-        parser.print_usage(sys.stderr)
-        print(f"error: --algo {args.algo} runs in --mode standalone only", file=sys.stderr)
-        return EXIT_USAGE
+        return f"--algo {args.algo} runs in --mode standalone only"
     if args.mode == "master" and not args.listen:
-        parser.print_usage(sys.stderr)
-        print("error: master mode needs --listen", file=sys.stderr)
-        return EXIT_USAGE
+        return "master mode needs --listen"
     if args.mode == "worker" and not args.connect:
-        parser.print_usage(sys.stderr)
-        print("error: worker mode needs --connect", file=sys.stderr)
-        return EXIT_USAGE
+        return "worker mode needs --connect"
     if args.workers < 1:
+        return "--workers must be at least 1"
+    if args.dump_paths and (args.algo != "gp" or args.mode == "worker"):
+        return "--dump-paths needs --algo gp in --mode sim or master"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    error = _usage_error(args)
+    if error is not None:
         parser.print_usage(sys.stderr)
-        print("error: --workers must be at least 1", file=sys.stderr)
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     addr = None
     if args.mode in ("master", "worker"):

@@ -21,16 +21,19 @@ strategy's `_requeue`.  A stale `report_done`, naming a task the master does
 not hold for its sender, adds nothing and leaves the sender's live task in
 place.  So every proof a worker sends is capped and stale-checked.
 
-Both masters start the same way.  `start` makes one SAT call on the hard
-clauses (`initial_upper_bound`): the first model, and so the first μ, or the
-proof that there is none, before any task is sent and before any worker need
-be there.  The master knows one list of workers, `workers`, in the order
-they said hello; a run is sized for `size` of them.  The run begins at the
-first hello: that worker, the lead, gets the whole-formula task -1
-(`assign_path` with an empty path and the μ held).  Every later one is a
-helper and gets its first task at its own hello: sss an unheld bound of the
-initial split, gp a path of the root frontier, which is sized for `size`
-workers.  A worker that connects and never says hello holds nothing up.
+The master searches once, in `start`, which `run_sim` and the socket
+master call before any hello: one SAT call on the hard clauses
+(`initial_upper_bound`, bounded by the run's deadline), which gives the
+first model, and so the first μ, or the proof that there is none; then,
+with a model held and the run open, the strategy's split: sss's initial
+bounds, or gp's root frontier, sized for `size` workers.  After that the
+master only hands out tasks.  It knows one list of workers, `workers`, in
+the order they said hello.  The run begins at the first hello: that worker,
+the lead, gets the whole-formula task -1 (`assign_path` with an empty path
+and the μ held).  Every later one is a helper and gets its first task at
+its own hello: sss an unheld bound of the initial split, gp a path of the
+root frontier.  A worker that connects and never says hello holds nothing
+up.
 A finished master answers a hello with `terminate`.  The master raises λ
 itself on its own proofs: to `num_soft + 1` when the hard clauses are
 unsatisfiable, and to μ once every guiding path has concluded, because the
@@ -59,8 +62,8 @@ from .sequential import Optimum, oll
 from .transport import Message
 
 WHOLE_FORMULA_TASK = -1  # the lead's task: `oll` on the whole formula
-# A generate call stops once its emitted plus open paths reach this many per
-# path worker; `_resplit` generates more on demand.
+# gp's root frontier: generation stops once its emitted plus open paths
+# reach this many per path worker.
 PATHS_PER_WORKER = 4
 
 
@@ -68,10 +71,11 @@ PATHS_PER_WORKER = 4
 Verdict = namedtuple("Verdict", "status cost model", defaults=(None, None))
 
 
-def initial_upper_bound(f: WcnfFormula, seed: int = 0):
-    """SAT call on the hard clauses alone: (cost, model), or None when UNSAT."""
+def initial_upper_bound(f: WcnfFormula, seed: int = 0, deadline=None, clock=None):
+    """SAT call on the hard clauses alone: (cost, model), or None when UNSAT.
+    Raises TimeoutError once `clock()` is past `deadline`."""
     engine = Engine(f.hard, num_vars=f.num_vars, seed=seed)
-    result = engine.solve()
+    result = engine.solve(deadline=deadline, clock=clock)
     if isinstance(result, Unsat):
         return None
     return cost(f, result.model), result.model
@@ -101,7 +105,6 @@ class MasterBase:
         self.workers: list[str] = []  # every worker that said hello and is not lost, in hello order
         self.lead: str | None = None  # the first to say hello, once the run has begun
         self.tasks: dict[str, Task] = {}  # worker -> its live task, in assignment order
-        self._started = False
         self.finished = False
         self.verdict: Verdict | None = None
         self.window = BoundSet(lam=0, mu=f.num_soft + 1)
@@ -164,17 +167,18 @@ class MasterBase:
             return None
         return found, model
 
-    def start(self) -> None:
-        """One SAT call on the hard clauses: the first model and μ, or the
-        proof that there is none.  Made once, before any task is sent."""
-        if self._started:
-            return
-        self._started = True
-        found = initial_upper_bound(self.f, seed=self.seed)
+    def start(self, deadline=None, clock=None) -> None:
+        """The master's only search, made once before any hello: one SAT
+        call on the hard clauses, for the first model and μ or the proof that
+        there is none, then, while the run is open, the strategy's split.
+        Raises TimeoutError once `clock()` is past `deadline`."""
+        found = initial_upper_bound(self.f, seed=self.seed, deadline=deadline, clock=clock)
         if found is None:
             self._raise_lower(self.f.num_soft + 1)
         else:
             self._improve(*found)
+        if not self.finished:
+            self._begin()
 
     def on_message(self, src: str, msg: Message) -> None:
         if msg.kind == "hello":
@@ -200,12 +204,8 @@ class MasterBase:
             self.send(wid, self._terminate_msg)
             return
         if self.lead is None:
-            self.start()
-            if self.finished:  # `_finish` has sent `wid` the verdict
-                return
             self.lead = wid
             self._assign(wid, Task(WHOLE_FORMULA_TASK, self.window.mu))
-            self._begin()
         else:
             self._first_task(wid)
         self._schedule()
@@ -226,7 +226,6 @@ class MasterBase:
         if task is None or task.id != task_id:
             return 0
         del self.tasks[src]
-        self._concluded(src, task)
         return min(lb, task.cap)
 
     def on_worker_lost(self, wid: str) -> None:
@@ -239,8 +238,8 @@ class MasterBase:
         self._schedule()
 
     def _begin(self) -> None:
-        """Start the strategy's own search, once a model is held and μ is its
-        cost; the lead has its task, and every helper comes after."""
+        """Make the strategy's split, once a model is held and μ is its cost;
+        every task comes after."""
         raise NotImplementedError
 
     def _first_task(self, wid: str) -> None:
@@ -249,9 +248,6 @@ class MasterBase:
 
     def _schedule(self) -> None:
         raise NotImplementedError
-
-    def _concluded(self, wid: str, task: Task) -> None:
-        """`wid` has concluded its live `task`."""
 
     def _requeue(self, wid: str, task: Task | None) -> None:
         """`wid` is lost, holding `task` (None: it held none)."""
@@ -302,20 +298,18 @@ class GpMaster(MasterBase):
 
     def __init__(self, f, send, size: int, seed: int = 0):
         super().__init__(f, send, size, seed)
-        self.generator = None  # a lookahead.PathGenerator, built in _begin
         self.pending = []  # guiding paths waiting for a worker
-        self.resplit_done: set[int] = set()
         self.terminated_early = False
-        self.generated_paths = []
+        self.generated_paths = []  # the root frontier, final once `start` returns
 
     def _begin(self) -> None:
         # The hard clauses have a model, so the root cannot conflict and the
         # path that model agrees with is never pruned: at least one path
         # comes back.
         from .lookahead import ROOT_CUTOFF, PathGenerator
-        self.generator = PathGenerator(self.f.hard, self.f.soft, num_vars=self.f.num_vars, seed=self.seed)
-        self.pending = self.generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget()).paths
-        self.generated_paths.extend(self.pending)
+        generator = PathGenerator(self.f.hard, self.f.soft, num_vars=self.f.num_vars, seed=self.seed)
+        self.generated_paths = generator.generate(theta0=ROOT_CUTOFF, max_paths=self._path_budget()).paths
+        self.pending = list(self.generated_paths)
         self._sort_pending()
 
     def _path_budget(self) -> int:
@@ -335,34 +329,10 @@ class GpMaster(MasterBase):
         while idle and self.pending:
             path = self.pending.pop(0)
             self._assign(idle.pop(0), Task(path.gen_index, self.window.mu, path))
-        if idle and not self.pending and self.tasks:
-            self._resplit()
         if not self._paths_open():
             # The paths partition the search space and none holds a model
             # cheaper than μ.
             self._raise_lower(self.window.mu)
-
-    def _resplit(self) -> None:
-        """Split the longest-running path task into sub-paths."""
-        task = next(
-            (t for t in self.tasks.values() if t.id not in self.resplit_done and t.id != WHOLE_FORMULA_TASK), None,
-        )
-        if task is None:
-            return
-        self.resplit_done.add(task.id)
-        from .lookahead import RESPLIT_CUTOFF
-        result = self.generator.generate(
-            d0=task.path.decisions, theta0=RESPLIT_CUTOFF, parent_index=task.id, max_paths=self._path_budget()
-        )
-        if result.paths:
-            self.pending.extend(result.paths)
-            self.generated_paths.extend(result.paths)
-            self._sort_pending()
-            self._schedule()
-
-    def _concluded(self, wid: str, task: Task) -> None:
-        # Sub-paths of a concluded parent are redundant.
-        self.pending = [p for p in self.pending if p.parent_index != task.id]
 
     def _requeue(self, wid: str, task: Task | None) -> None:
         if task is not None and task.id != WHOLE_FORMULA_TASK:
@@ -441,10 +411,11 @@ def run_sim(
 ) -> SimOutcome:
     """Run master and workers in one process over the deterministic bus.
 
-    Past `deadline` (read from `clock`) the run stops with an "unknown"
-    verdict and the best model so far: the loop checks between deliveries and
-    every worker SAT call checks on entry and at restarts.  Reports already
-    on their way to the master are delivered before the run stops.
+    The master starts before any hello.  Past `deadline` (read from `clock`)
+    the run stops with an "unknown" verdict and the best model so far: the
+    loop checks between deliveries and every SAT call, the master's first
+    one included, checks on entry and at restarts.  Reports already on their
+    way to the master are delivered before the run stops.
     """
     from .transport import SimBus
 
@@ -462,27 +433,23 @@ def run_sim(
         )
         for i, wid in enumerate(ids, start=1)
     }
-    for wid in ids:
-        workers[wid].hello()
     deliveries = 0
-    stopped = False
-    while not master.finished and bus.pending():
-        if deadline is not None and clock is not None and clock() > deadline:
-            stopped = True
-            break
-        deliveries += 1
-        if deliveries > MAX_DELIVERIES:
-            raise RuntimeError("simulation did not converge")
-        src, dst, msg = bus.deliver_next()
-        if dst == "master":
-            master.on_message(src, msg)
-        else:
-            try:
+    try:
+        master.start(deadline, clock)
+        for wid in ids:
+            workers[wid].hello()
+        while not master.finished and bus.pending():
+            if deadline is not None and clock is not None and clock() > deadline:
+                raise TimeoutError("sim deadline exceeded")
+            deliveries += 1
+            if deliveries > MAX_DELIVERIES:
+                raise RuntimeError("simulation did not converge")
+            src, dst, msg = bus.deliver_next()
+            if dst == "master":
+                master.on_message(src, msg)
+            else:
                 workers[dst].on_message(msg)
-            except TimeoutError:
-                stopped = True
-                break
-    if stopped:
+    except TimeoutError:
         # Reports sent before the stop still count: master handling is
         # monotone and checks every model, so hand it its reports (a hello
         # would start new work), then stop.

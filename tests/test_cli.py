@@ -13,6 +13,8 @@ from distmaxsat.cli import main
 from distmaxsat.formula import cost, make_formula, parse_wcnf, serialize_wcnf
 from distmaxsat.oracle import brute_force, gen_random
 
+from conftest import hard_pigeonhole
+
 
 EXAMPLE = "p wcnf 2 3 3\n3 1 2 0\n1 -1 0\n1 -2 0\n"
 UNSAT = "p wcnf 1 3 9\n9 1 0\n9 -1 0\n1 1 0\n"
@@ -102,6 +104,15 @@ def test_dump_paths(instance, capsys, tmp_path):
     if code == 30:
         text = dump.read_text()
         assert all(l.startswith("a ") and l.endswith(" 0") for l in text.splitlines())
+
+
+@pytest.mark.parametrize("args", [["--algo", "sss", "--mode", "sim"], ["--algo", "linear"],
+                                  ["--mode", "worker", "--connect", "127.0.0.1:1"]])
+def test_dump_paths_needs_gp_in_sim_or_master(instance, capsys, tmp_path, args):
+    dump = tmp_path / "paths.icnf"
+    code, out, err = run_cli([instance(EXAMPLE), *args, "--dump-paths", str(dump)], capsys)
+    assert code == 1 and out == "" and not dump.exists()
+    assert err.splitlines()[-1] == "error: --dump-paths needs --algo gp in --mode sim or master"
 
 
 def test_bad_flags(instance, capsys):
@@ -604,6 +615,55 @@ def test_hard_unsat_master_answers_before_any_worker_connects(instance):
         if master.poll() is None:
             master.kill()
         master.communicate()
+
+
+@pytest.mark.parametrize("mode", ["sim-sss", "sim-gp", "master-sss"])
+def test_timeout_bounds_the_first_sat_call(tmp_path, mode):
+    """The hard clauses of PHP(9, 8) take about a minute to refute; with
+    `--timeout 1` the run stops within 3 s, unknown, in sim and master mode
+    alike (the master has no worker)."""
+    path = tmp_path / "php98.wcnf"
+    path.write_text(serialize_wcnf(hard_pigeonhole(8)))
+    where, algo = mode.split("-")
+    extra = ["--listen", f"127.0.0.1:{free_port()}", "--workers", 1] if where == "master" else []
+    began = time.monotonic()
+    proc = cli_process(path, "--algo", algo, "--mode", where, "--timeout", 1, *extra)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert time.monotonic() - began < 3
+    assert proc.returncode == 0, err
+    assert out.splitlines()[-2:] == ["c timeout", "s UNKNOWN"]
+
+
+def test_a_socket_gp_master_dumps_the_paths_a_sim_run_makes(tmp_path):
+    """The root frontier is final once the master has started, so a socket
+    gp master writes the same `--dump-paths` file as a sim run of the same
+    size and seed."""
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    path = tmp_path / "dump.wcnf"
+    path.write_text(serialize_wcnf(f))
+    addr = f"127.0.0.1:{free_port()}"
+    dumps = {where: tmp_path / f"{where}.icnf" for where in ("master", "sim")}
+    procs = [cli_process(path, "--algo", "gp", "--mode", "master", "--listen", addr, "--workers", 2,
+                         "--timeout", 60, "--dump-paths", dumps["master"], "--seed", 3),
+             cli_process(path, "--mode", "worker", "--connect", addr, "--timeout", 60),
+             cli_process(path, "--mode", "worker", "--connect", addr, "--timeout", 60),
+             cli_process(path, "--algo", "gp", "--mode", "sim", "--workers", 2, "--dump-paths", dumps["sim"],
+                         "--seed", 3)]
+    try:
+        assert [p.wait(timeout=30) for p in procs] == [30, 0, 0, 30]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+            p.communicate()
+    text = dumps["master"].read_text()
+    assert text and text == dumps["sim"].read_text()
+    assert all(l.startswith("a ") and l.endswith(" 0") for l in text.splitlines())
 
 
 def test_socket_master_drops_a_bad_line_and_reads_the_lines_after_it(tmp_path):

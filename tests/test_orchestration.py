@@ -6,6 +6,7 @@ import pytest
 from distmaxsat.bounds import initial_bounds
 from distmaxsat.engine import Engine
 from distmaxsat.formula import cost, make_formula
+from distmaxsat.lookahead import ROOT_CUTOFF, PathGenerator
 from distmaxsat.oracle import HARD_UNSAT, brute_force, gen_random
 from distmaxsat.orchestration import (
     GpMaster,
@@ -17,7 +18,7 @@ from distmaxsat.orchestration import (
 from distmaxsat.sequential import msu3
 from distmaxsat.transport import Message, SimBus, decode_message
 
-from conftest import clause_holds, pigeonhole
+from conftest import clause_holds, hard_pigeonhole, pigeonhole
 
 
 def test_initial_upper_bound_hard_unsat():
@@ -329,6 +330,7 @@ def test_gp_queue_priority_shortest_then_oldest():
     sent = []
     f = make_formula(4, [[1, 2], [3, 4]], [[1], [2], [3], [4]])
     master = GpMaster(f, send=lambda dst, m: sent.append((dst, m)), size=2, seed=0)
+    master.start()
     for wid in ("w1", "w2"):
         master.on_message(wid, Message("hello", wid))
     from distmaxsat.lookahead import GuidingPath
@@ -358,6 +360,7 @@ def test_sss_master_survives_worker_loss():
         wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=i)
         for i, wid in enumerate(ids, 1)
     }
+    master.start()
     for wid in ids:
         workers[wid].hello()
     lost = False
@@ -378,6 +381,7 @@ def test_gp_master_requeues_tasks_of_lost_worker():
     f = make_formula(3, [[1, 2]], [[1], [2], [3]])
     sent = []
     master = GpMaster(f, send=lambda dst, m: sent.append((dst, m)), size=3, seed=0)
+    master.start()
     for wid in ("w1", "w2", "w3"):
         master.on_message(wid, Message("hello", wid))
     lost = master.tasks["w2"]
@@ -412,6 +416,7 @@ def test_the_first_hello_leads_and_a_worker_without_one_holds_nothing_up(master_
     master = master_cls(f, send=lambda dst, m: bus.send("master", dst, m), size=2, seed=0)
     workers = {wid: WorkerNode(wid, f, send=lambda m, _w=wid: bus.send(_w, "master", m), seed=i)
                for i, wid in enumerate(["w1", "w2"], 1)}
+    master.start()
     master.on_message("w2", hello_from("w2"))
     [lead_task] = (decode_message(data) for data in bus.queues[("master", "w2")])
     assert lead_task == Message("assign_path", "master", {"task": -1, "path": [], "mu": master.window.mu})
@@ -649,6 +654,8 @@ def test_an_sss_worker_builds_one_engine_per_task(monkeypatch):
 
 @pytest.mark.parametrize("algo", ["sss", "gp"])
 def test_hard_unsat_run_ends_before_any_task(monkeypatch, algo):
+    """The master proves the hard clauses unsatisfiable at its start, before
+    any hello, so it sends no message at all."""
     sent = []
     send = SimBus.send
 
@@ -660,7 +667,66 @@ def test_hard_unsat_run_ends_before_any_task(monkeypatch, algo):
     f = make_formula(3, [[1], [-1, 2], [-2, 3], [-3]], [[1], [2], [3]])
     outcome = run_sim(f, algo, num_workers=3, seed=0)
     assert outcome.verdict.status == "unsatisfiable"
-    assert {kind for src, kind in sent if src == "master"} == {"terminate"}
+    assert [kind for src, kind in sent if src == "master"] == []
+
+
+@pytest.mark.parametrize("algo", ["sss", "gp"])
+def test_the_deadline_bounds_the_masters_first_sat_call(monkeypatch, algo):
+    """The clock reads the number of SAT calls begun so far, so the deadline
+    0 has passed as the master's call on the hard clauses begins.  Those
+    clauses are unsatisfiable, but the call stops at once: nothing is
+    delivered, and the run ends "unknown" without a model."""
+    calls = []
+    solve = Engine.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "solve", counted)
+    outcome = run_sim(hard_pigeonhole(4), algo, num_workers=3, seed=0, deadline=0, clock=lambda: len(calls))
+    assert tuple(outcome.verdict) == ("unknown", None, None)
+    assert len(calls) == 1 and outcome.trace == []
+
+
+def test_a_started_gp_master_holds_its_partition_and_has_sent_nothing():
+    """`start` is the master's whole search: it leaves gp's root frontier,
+    sized for `size` workers, queued shortest first, before any hello."""
+    f = gen_random(7, num_vars=12, num_hard=10, num_soft=20, clause_len=3)
+    sent = []
+    master = GpMaster(f, send=lambda dst, m: sent.append((dst, m)), size=3, seed=0)
+    master.start()
+    assert sent == [] and not master.finished and master.best_model is not None
+    frontier = PathGenerator(f.hard, f.soft, num_vars=f.num_vars, seed=0).generate(
+        theta0=ROOT_CUTOFF, max_paths=8).paths
+    assert master.generated_paths == frontier
+    assert master.pending == sorted(frontier, key=lambda p: (p.depth, p.gen_index))
+
+
+@pytest.mark.parametrize("workers", [3, 4])
+@pytest.mark.parametrize("draw", [(5, 12, 26, 24), (14, 16, 35, 32)])
+def test_gp_dispatches_only_its_root_frontier(monkeypatch, draw, workers):
+    """Every path a gp run sends is one of the root frontier made at its
+    start, and that frontier is a fresh generator's, sized for `workers`:
+    the master splits nothing more once the run has begun."""
+    sent = []
+    send = SimBus.send
+
+    def recorded(self, src, dst, msg):
+        sent.append(msg)
+        return send(self, src, dst, msg)
+
+    monkeypatch.setattr(SimBus, "send", recorded)
+    f = gen_random(*draw, 3)
+    seed = draw[0]
+    outcome = run_sim(f, "gp", num_workers=workers, seed=seed)
+    assert (outcome.verdict.status, outcome.verdict.cost) == ("optimum", brute_force(f))
+    frontier = PathGenerator(f.hard, f.soft, num_vars=f.num_vars, seed=seed).generate(
+        theta0=ROOT_CUTOFF, max_paths=4 * (workers - 1)).paths
+    assert outcome.master.generated_paths == frontier
+    paths = {p.gen_index: list(p.decisions) for p in frontier}
+    dispatched = [m.payload for m in sent if m.kind == "assign_path" and m.payload["task"] >= 0]
+    assert dispatched and all(paths[p["task"]] == p["path"] for p in dispatched)
 
 
 # Digests of the sim traces of fixed sss runs: any change to sss's search,
